@@ -13,8 +13,11 @@
 //!
 //! ## On-disk format (DESIGN.md §13)
 //!
-//! A session owns one directory (`<dir>/<engine>/`). It contains at most
-//! one *snapshot* + *write-ahead log* pair at a time:
+//! A session owns one directory (`<dir>/<engine>/`) for as long as it is
+//! live: an in-process registry refuses a second concurrent opener (which
+//! then runs without checkpoints) until the owner finishes or is dropped,
+//! so two runs never read or write each other's files. The directory
+//! contains at most one *snapshot* + *write-ahead log* pair at a time:
 //!
 //! * `snap-<round>.ckpt` — a full serialized round: magic + format
 //!   version, engine label, run fingerprint, round header (round number,
@@ -69,6 +72,7 @@ pub mod codec;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use uset_object::EvalStats;
 
 pub use codec::{crc32, fnv64, CodecError, Dec, Enc};
@@ -365,15 +369,28 @@ fn sync_dir(dir: &Path) {
     }
 }
 
+/// Directories owned by a live [`Session`] in this process, keyed by
+/// canonical path.
+static LIVE: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+
+fn live() -> std::sync::MutexGuard<'static, Vec<PathBuf>> {
+    // the list stays consistent even if a holder panicked
+    LIVE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// One engine run's checkpoint writer/recoverer over a directory.
 ///
 /// Lifecycle: [`Session::open`] → [`Session::recover`] (optional) → one
 /// [`Session::commit`] per completed round → [`Session::finish`] on
 /// successful completion (which clears the directory so a later fresh
-/// run does not resume a finished computation).
+/// run does not resume a finished computation). The session owns its
+/// directory from `open` until `finish` or drop — a crashed run (an
+/// error return, a panic) frees it too.
 #[derive(Debug)]
 pub struct Session {
     dir: PathBuf,
+    /// The registry entry this session holds (`None` once released).
+    owned: Option<PathBuf>,
     engine: String,
     fingerprint: u64,
     every: u64,
@@ -400,8 +417,27 @@ impl Session {
     /// of the program and input — so recovery never resumes a checkpoint
     /// belonging to a *different* computation that happened to share the
     /// directory. Returns `None` (with a note on stderr) if the
-    /// directory cannot be created.
+    /// directory cannot be created, or if another live session in this
+    /// process owns it — the caller then runs without checkpoints rather
+    /// than share (and clobber) the owner's journal.
     pub fn open(spec: &Spec, engine: &str, fingerprint: u64) -> Option<Session> {
+        let mut session = Session::open_unowned(spec, engine, fingerprint)?;
+        let key = fs::canonicalize(&session.dir).unwrap_or_else(|_| session.dir.clone());
+        let mut live = live();
+        if live.contains(&key) {
+            eprintln!(
+                "uset-ckpt: {} is owned by another live session; checkpointing disabled for this run",
+                session.dir.display()
+            );
+            return None;
+        }
+        live.push(key.clone());
+        session.owned = Some(key);
+        Some(session)
+    }
+
+    /// [`Session::open`] without claiming the directory in the registry.
+    fn open_unowned(spec: &Spec, engine: &str, fingerprint: u64) -> Option<Session> {
         let dir = spec.dir.join(engine);
         if let Err(err) = fs::create_dir_all(&dir) {
             eprintln!("uset-ckpt: cannot create {}: {err}", dir.display());
@@ -409,6 +445,7 @@ impl Session {
         }
         Some(Session {
             dir,
+            owned: None,
             engine: engine.to_owned(),
             fingerprint,
             every: spec.every.max(1),
@@ -803,11 +840,24 @@ impl Session {
     /// the same computation starts from scratch instead of "resuming" a
     /// finished one.
     pub fn finish(&mut self) {
-        if self.poisoned {
-            return;
+        if !self.poisoned {
+            self.wal = None;
+            let _ = fs::remove_dir_all(&self.dir);
         }
-        self.wal = None;
-        let _ = fs::remove_dir_all(&self.dir);
+        self.release();
+    }
+
+    /// Give the directory back to the registry.
+    fn release(&mut self) {
+        if let Some(key) = self.owned.take() {
+            live().retain(|k| *k != key);
+        }
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 
@@ -815,6 +865,10 @@ impl Session {
 mod tests {
     use super::*;
 
+    // Tests of the on-disk format open sessions with `open_unowned`: a
+    // reader opened while the writer is still alive stands for another
+    // process (a restarted run), which the in-process registry does not
+    // govern.
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("uset-ckpt-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
@@ -848,6 +902,33 @@ mod tests {
         p.extend_from_slice(&round.to_le_bytes());
         p.extend_from_slice(&[0xBB; 32]);
         p
+    }
+
+    #[test]
+    fn a_live_session_owns_its_directory() {
+        let dir = tmpdir("owned");
+        let spec = Spec::new(&dir).with_every(1);
+        let mut first = Session::open(&spec, "datalog", 11).unwrap();
+        first.commit(&rc(1, &payload_for(1)));
+        // the same computation opened concurrently gets no session, so it
+        // can neither resume nor overwrite the owner's journal
+        assert!(Session::open(&spec, "datalog", 11).is_none());
+        assert!(Session::open(&spec, "datalog", 12).is_none());
+        // another engine's subdirectory is a different owner
+        assert!(Session::open(&spec, "col", 11).is_some());
+        first.commit(&rc(2, &payload_for(2)));
+        drop(first);
+        // dropping (as a crashed run does) frees the directory, and the
+        // journal is exactly what the owner wrote
+        let mut second = Session::open(&spec, "datalog", 11).unwrap();
+        assert_eq!(second.recover().unwrap().round, 2);
+        second.finish();
+        // finishing frees it too, even while the value is still alive
+        let mut third = Session::open(&spec, "datalog", 11).unwrap();
+        assert!(third.recover().is_none());
+        drop(second);
+        drop(third);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -902,14 +983,14 @@ mod tests {
     fn commit_recover_roundtrip_across_snapshots_and_wal() {
         let dir = tmpdir("roundtrip");
         let spec = Spec::new(&dir).with_every(4);
-        let mut s = Session::open(&spec, "datalog", 42).unwrap();
+        let mut s = Session::open_unowned(&spec, "datalog", 42).unwrap();
         assert!(s.recover().is_none(), "fresh dir has nothing to recover");
         for round in 1..=10 {
             s.commit(&rc(round, &payload_for(round)));
             assert!(!s.is_poisoned());
             // a brand-new session (fresh process) must recover exactly
             // this round
-            let mut r = Session::open(&spec, "datalog", 42).unwrap();
+            let mut r = Session::open_unowned(&spec, "datalog", 42).unwrap();
             let got = r.recover().expect("recoverable");
             assert_eq!(got.round, round);
             assert_eq!(got.payload, payload_for(round));
@@ -924,17 +1005,17 @@ mod tests {
     fn recovered_session_continues_committing() {
         let dir = tmpdir("continue");
         let spec = Spec::new(&dir).with_every(3);
-        let mut s = Session::open(&spec, "col", 7).unwrap();
+        let mut s = Session::open_unowned(&spec, "col", 7).unwrap();
         for round in 1..=5 {
             s.commit(&rc(round, &payload_for(round)));
         }
         drop(s);
-        let mut s2 = Session::open(&spec, "col", 7).unwrap();
+        let mut s2 = Session::open_unowned(&spec, "col", 7).unwrap();
         assert_eq!(s2.recover().unwrap().round, 5);
         for round in 6..=9 {
             s2.commit(&rc(round, &payload_for(round)));
         }
-        let mut s3 = Session::open(&spec, "col", 7).unwrap();
+        let mut s3 = Session::open_unowned(&spec, "col", 7).unwrap();
         assert_eq!(s3.recover().unwrap().round, 9);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -943,16 +1024,16 @@ mod tests {
     fn fingerprint_and_engine_mismatches_never_resume() {
         let dir = tmpdir("fingerprint");
         let spec = Spec::new(&dir);
-        let mut s = Session::open(&spec, "datalog", 1).unwrap();
+        let mut s = Session::open_unowned(&spec, "datalog", 1).unwrap();
         s.commit(&rc(1, b"state"));
         // different computation, same engine: no resume
-        let mut other = Session::open(&spec, "datalog", 2).unwrap();
+        let mut other = Session::open_unowned(&spec, "datalog", 2).unwrap();
         assert!(other.recover().is_none());
         // same fingerprint, different engine: separate subdir, no resume
-        let mut eng = Session::open(&spec, "col", 1).unwrap();
+        let mut eng = Session::open_unowned(&spec, "col", 1).unwrap();
         assert!(eng.recover().is_none());
         // the original still recovers
-        let mut same = Session::open(&spec, "datalog", 1).unwrap();
+        let mut same = Session::open_unowned(&spec, "datalog", 1).unwrap();
         assert_eq!(same.recover().unwrap().round, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -961,7 +1042,7 @@ mod tests {
     fn truncation_at_every_byte_of_the_last_wal_record_rolls_back() {
         let dir = tmpdir("torn");
         let spec = Spec::new(&dir).with_every(100);
-        let mut s = Session::open(&spec, "bk", 9).unwrap();
+        let mut s = Session::open_unowned(&spec, "bk", 9).unwrap();
         for round in 1..=3 {
             s.commit(&rc(round, &payload_for(round)));
         }
@@ -974,14 +1055,14 @@ mod tests {
         assert!(last_start < full.len());
         for cut in last_start..full.len() {
             fs::write(&wal, &full[..cut]).unwrap();
-            let mut r = Session::open(&spec, "bk", 9).unwrap();
+            let mut r = Session::open_unowned(&spec, "bk", 9).unwrap();
             let got = r.recover().expect("snapshot+valid prefix still recover");
             assert_eq!(got.round, 2, "cut at {cut} must roll back to round 2");
             assert_eq!(got.payload, payload_for(2));
         }
         // untruncated recovers the full round 3
         fs::write(&wal, &full).unwrap();
-        let mut r = Session::open(&spec, "bk", 9).unwrap();
+        let mut r = Session::open_unowned(&spec, "bk", 9).unwrap();
         assert_eq!(r.recover().unwrap().round, 3);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -990,7 +1071,7 @@ mod tests {
     fn single_bit_flips_in_any_record_are_detected() {
         let dir = tmpdir("flip");
         let spec = Spec::new(&dir).with_every(100);
-        let mut s = Session::open(&spec, "gtm", 3).unwrap();
+        let mut s = Session::open_unowned(&spec, "gtm", 3).unwrap();
         for round in 1..=3 {
             s.commit(&rc(round, &payload_for(round)));
         }
@@ -1003,7 +1084,7 @@ mod tests {
             let mut bad = full.clone();
             bad[offset] ^= 0x01;
             fs::write(&wal, &bad).unwrap();
-            let mut r = Session::open(&spec, "gtm", 3).unwrap();
+            let mut r = Session::open_unowned(&spec, "gtm", 3).unwrap();
             if let Some(got) = r.recover() {
                 // recovery may legitimately return an *earlier* valid
                 // round, but never a corrupted payload
@@ -1019,7 +1100,7 @@ mod tests {
     fn corrupt_snapshot_falls_back_or_starts_fresh() {
         let dir = tmpdir("snapcorrupt");
         let spec = Spec::new(&dir).with_every(2);
-        let mut s = Session::open(&spec, "algebra", 5).unwrap();
+        let mut s = Session::open_unowned(&spec, "algebra", 5).unwrap();
         for round in 1..=4 {
             // every=2 → snapshots at rounds 1 and 3 (commits 1 and 3)
             s.commit(&rc(round, &payload_for(round)));
@@ -1031,7 +1112,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         fs::write(&snap, &bytes).unwrap();
-        let mut r = Session::open(&spec, "algebra", 5).unwrap();
+        let mut r = Session::open_unowned(&spec, "algebra", 5).unwrap();
         assert!(r.recover().is_none(), "corrupt snapshot must not load");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1040,7 +1121,7 @@ mod tests {
     fn chaos_torn_write_dies_and_recovers_to_previous_round() {
         let dir = tmpdir("chaos-torn");
         let spec = Spec::new(&dir).with_every(100);
-        let mut s = Session::open(&spec, "calculus", 1)
+        let mut s = Session::open_unowned(&spec, "calculus", 1)
             .unwrap()
             .with_chaos(Chaos::TornWrite {
                 record: 2,
@@ -1051,14 +1132,14 @@ mod tests {
         s.commit(&rc(3, &payload_for(3))); // wal record 2, torn + death
         assert!(s.is_poisoned());
         s.commit(&rc(4, &payload_for(4))); // ignored: the process is "dead"
-        let mut r = Session::open(&spec, "calculus", 1).unwrap();
+        let mut r = Session::open_unowned(&spec, "calculus", 1).unwrap();
         let got = r.recover().unwrap();
         assert_eq!(got.round, 2);
         assert_eq!(got.payload, payload_for(2));
         // and the truncated tail was discarded: committing after
         // recovery yields a clean round 3
         r.commit(&rc(3, &payload_for(3)));
-        let mut r2 = Session::open(&spec, "calculus", 1).unwrap();
+        let mut r2 = Session::open_unowned(&spec, "calculus", 1).unwrap();
         assert_eq!(r2.recover().unwrap().round, 3);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1067,7 +1148,7 @@ mod tests {
     fn chaos_flip_byte_dies_and_recovery_rejects_the_record() {
         let dir = tmpdir("chaos-flip");
         let spec = Spec::new(&dir).with_every(100);
-        let mut s = Session::open(&spec, "datalog", 1)
+        let mut s = Session::open_unowned(&spec, "datalog", 1)
             .unwrap()
             .with_chaos(Chaos::FlipByte {
                 record: 1,
@@ -1076,7 +1157,7 @@ mod tests {
         s.commit(&rc(1, &payload_for(1))); // snapshot
         s.commit(&rc(2, &payload_for(2))); // wal record 1, corrupted + death
         assert!(s.is_poisoned());
-        let mut r = Session::open(&spec, "datalog", 1).unwrap();
+        let mut r = Session::open_unowned(&spec, "datalog", 1).unwrap();
         let got = r.recover().unwrap();
         assert_eq!(got.round, 1, "corrupt record must be rejected");
         assert_eq!(got.payload, payload_for(1));
@@ -1087,10 +1168,10 @@ mod tests {
     fn finish_clears_the_directory() {
         let dir = tmpdir("finish");
         let spec = Spec::new(&dir);
-        let mut s = Session::open(&spec, "datalog", 1).unwrap();
+        let mut s = Session::open_unowned(&spec, "datalog", 1).unwrap();
         s.commit(&rc(1, b"x"));
         s.finish();
-        let mut r = Session::open(&spec, "datalog", 1).unwrap();
+        let mut r = Session::open_unowned(&spec, "datalog", 1).unwrap();
         assert!(r.recover().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1099,7 +1180,7 @@ mod tests {
     fn commit_delta_recovers_snapshot_plus_delta_suffix() {
         let dir = tmpdir("engine-delta");
         let spec = Spec::new(&dir).with_every(4);
-        let mut s = Session::open(&spec, "datalog", 9).unwrap();
+        let mut s = Session::open_unowned(&spec, "datalog", 9).unwrap();
         // the "full" payload is the concatenation of all deltas so far,
         // which lets the test check the fold inputs exactly
         let mut full: Vec<u8> = Vec::new();
@@ -1118,7 +1199,7 @@ mod tests {
             }
             assert!(!s.is_poisoned());
 
-            let mut rec_s = Session::open(&spec, "datalog", 9).unwrap();
+            let mut rec_s = Session::open_unowned(&spec, "datalog", 9).unwrap();
             let got = rec_s.recover().expect("recoverable");
             assert_eq!(got.round, round);
             assert_eq!(got.stats.rules_fired, round * 2);
@@ -1138,12 +1219,12 @@ mod tests {
     fn commit_delta_session_continues_after_recovery() {
         let dir = tmpdir("engine-delta-continue");
         let spec = Spec::new(&dir).with_every(3);
-        let mut s = Session::open(&spec, "datalog", 4).unwrap();
+        let mut s = Session::open_unowned(&spec, "datalog", 4).unwrap();
         for round in 1..=4u64 {
             s.commit_delta(&rc(round, &[round as u8]), || vec![0xF0, round as u8]);
         }
         drop(s);
-        let mut s2 = Session::open(&spec, "datalog", 4).unwrap();
+        let mut s2 = Session::open_unowned(&spec, "datalog", 4).unwrap();
         let got = s2.recover().unwrap();
         assert_eq!(got.round, 4);
         assert_eq!(got.payload, vec![0xF0, 4u8], "round 4 rolled a snapshot");
@@ -1151,7 +1232,7 @@ mod tests {
         for round in 5..=6u64 {
             s2.commit_delta(&rc(round, &[round as u8]), || vec![0xF0, round as u8]);
         }
-        let mut s3 = Session::open(&spec, "datalog", 4).unwrap();
+        let mut s3 = Session::open_unowned(&spec, "datalog", 4).unwrap();
         let got = s3.recover().unwrap();
         assert_eq!(got.round, 6);
         assert_eq!(got.payload, vec![0xF0, 4u8]);
@@ -1163,7 +1244,7 @@ mod tests {
     fn torn_engine_delta_record_rolls_back_to_previous_round() {
         let dir = tmpdir("engine-delta-torn");
         let spec = Spec::new(&dir).with_every(100);
-        let mut s = Session::open(&spec, "datalog", 2)
+        let mut s = Session::open_unowned(&spec, "datalog", 2)
             .unwrap()
             .with_chaos(Chaos::TornWrite {
                 record: 2,
@@ -1173,7 +1254,7 @@ mod tests {
         s.commit_delta(&rc(2, &[2]), || unreachable!()); // intact record
         s.commit_delta(&rc(3, &[3]), || unreachable!()); // torn + death
         assert!(s.is_poisoned());
-        let mut r = Session::open(&spec, "datalog", 2).unwrap();
+        let mut r = Session::open_unowned(&spec, "datalog", 2).unwrap();
         let got = r.recover().unwrap();
         assert_eq!(got.round, 2);
         assert_eq!(got.payload, vec![0xAA]);
@@ -1185,12 +1266,12 @@ mod tests {
     fn sync_full_mode_commits_and_recovers_identically() {
         let dir = tmpdir("sync-full");
         let spec = Spec::new(&dir).with_every(2).with_sync(SyncMode::Full);
-        let mut s = Session::open(&spec, "datalog", 8).unwrap();
+        let mut s = Session::open_unowned(&spec, "datalog", 8).unwrap();
         for round in 1..=5 {
             s.commit(&rc(round, &payload_for(round)));
             assert!(!s.is_poisoned());
         }
-        let mut r = Session::open(&spec, "datalog", 8).unwrap();
+        let mut r = Session::open_unowned(&spec, "datalog", 8).unwrap();
         let got = r.recover().unwrap();
         assert_eq!(got.round, 5);
         assert_eq!(got.payload, payload_for(5));
@@ -1201,11 +1282,11 @@ mod tests {
     fn non_monotone_commit_poisons_instead_of_corrupting() {
         let dir = tmpdir("monotone");
         let spec = Spec::new(&dir);
-        let mut s = Session::open(&spec, "datalog", 1).unwrap();
+        let mut s = Session::open_unowned(&spec, "datalog", 1).unwrap();
         s.commit(&rc(5, b"five"));
         s.commit(&rc(5, b"again"));
         assert!(s.is_poisoned());
-        let mut r = Session::open(&spec, "datalog", 1).unwrap();
+        let mut r = Session::open_unowned(&spec, "datalog", 1).unwrap();
         assert_eq!(r.recover().unwrap().round, 5);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -209,6 +209,7 @@ fn run_differential(
             );
         }
     }
+    sess.finish();
     Ok(())
 }
 
@@ -248,13 +249,17 @@ fn run_at_width(
     let mut sess =
         DatalogSession::with_mode(ivm_prog(), db, Semantics::Stratified, &gov, IvmMode::Auto)
             .unwrap();
-    batches
+    let reports = batches
         .iter()
         .map(|ops| {
             let rep = sess.apply(&to_batch(ops)).unwrap();
             (sess.state().clone(), rep)
         })
-        .collect()
+        .collect();
+    // a session left open keeps its journal, which the next session over
+    // the same program and input would resume
+    sess.finish();
+    reports
 }
 
 proptest! {
@@ -336,6 +341,7 @@ proptest! {
                 prop_assert_eq!(sess.state(), &fresh);
                 prop_assert_eq!(&rep.stats, &stats);
             }
+            sess.finish();
         }
     }
 }
@@ -393,6 +399,7 @@ proptest! {
             }
             Err(other) => return Err(TestCaseError::fail(format!("unexpected error: {other}"))),
         }
+        sess.finish();
     }
 }
 
