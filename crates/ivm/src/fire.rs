@@ -22,8 +22,10 @@
 //! the source rule is preserved, so a program that fires without
 //! unbound-variable errors from scratch fires identically here.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use uset_deductive::datalog::{instantiate, match_row_cached, DlBindings, RowCache};
+use std::collections::{BTreeMap, BTreeSet};
+use uset_deductive::datalog::{
+    extend_bindings, instantiate, match_row_cached, DlBindings, RowCache,
+};
 use uset_deductive::{DlError, DlRule};
 use uset_object::{Database, EvalStats, Instance, Value};
 
@@ -38,8 +40,8 @@ pub(crate) enum View {
     Old,
 }
 
-/// Resolve a relation under a view. `None` means "no such relation"
-/// (empty): positive literals produce no bindings, negated ones pass.
+/// Resolve a relation under a view. `None` means "no such relation",
+/// which joins as the empty relation.
 fn view_instance<'a>(
     pred: &str,
     view: View,
@@ -67,17 +69,21 @@ fn view_instance<'a>(
     }
 }
 
-/// Fire one delta rule: body position `pos` is restricted to
-/// `delta_rows`, positions before it read the `left` view, positions
-/// after it the `right` view. For a *negated* literal at `pos` the
-/// caller passes the rows whose membership flip makes the literal's
-/// truth flip (the complement's delta); the join keeps a binding when
-/// its instantiated atom is one of them.
+/// Fire one rule from a `seed` binding. With `delta = Some((pos, rows))`
+/// body position `pos` is restricted to `rows`, positions before it read
+/// the `left` view and positions after it the `right` view; without a
+/// delta every position reads `left`. For a *negated* literal at `pos`
+/// the caller passes the rows whose membership flip makes the literal's
+/// truth flip (the complement's delta); the join keeps a binding when its
+/// instantiated atom is one of them. Every other literal joins through
+/// the from-scratch engine's own binding step, as a plain scan.
+/// Rederivation asks "does any derivation survive?" by seeding with the
+/// head binding of a deleted fact and checking non-emptiness.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn delta_bindings(
     rule: &DlRule,
-    pos: usize,
-    delta_rows: &BTreeSet<Value>,
+    seed: &DlBindings,
+    delta: Option<(usize, &BTreeSet<Value>)>,
     left: View,
     right: View,
     state: &Database,
@@ -85,113 +91,46 @@ pub(crate) fn delta_bindings(
     cache: &mut BTreeMap<String, Instance>,
     stats: &mut EvalStats,
 ) -> Result<Vec<DlBindings>, DlError> {
-    let mut bindings: Vec<DlBindings> = vec![HashMap::new()];
+    let empty = Instance::empty();
+    let mut bindings: Vec<DlBindings> = vec![seed.clone()];
     for (i, lit) in rule.body.iter().enumerate() {
         if bindings.is_empty() {
             break;
         }
-        let mut out = Vec::new();
-        if i == pos {
-            if lit.positive {
-                let mut rc_cache = RowCache::new();
-                for b in &bindings {
-                    for row in delta_rows {
-                        match_row_cached(&lit.atom.args, row, b, &mut out, &mut rc_cache);
-                    }
-                }
-            } else {
-                for b in &bindings {
-                    let vals: Vec<Value> = lit
-                        .atom
-                        .args
-                        .iter()
-                        .map(|t| instantiate(t, b, &lit.atom.pred))
-                        .collect::<Result<_, _>>()?;
-                    if delta_rows.contains(&Value::Tuple(vals)) {
-                        out.push(b.clone());
-                    }
-                }
-            }
-        } else {
-            let view = if i < pos { left } else { right };
-            if lit.positive {
-                if let Some(inst) = view_instance(&lit.atom.pred, view, state, log, cache) {
+        bindings = match delta {
+            Some((pos, rows)) if pos == i => {
+                let mut out = Vec::new();
+                if lit.positive {
                     let mut rc_cache = RowCache::new();
                     for b in &bindings {
-                        for row in inst.iter() {
+                        for row in rows {
                             match_row_cached(&lit.atom.args, row, b, &mut out, &mut rc_cache);
                         }
                     }
-                }
-            } else {
-                for b in &bindings {
-                    let vals: Vec<Value> = lit
-                        .atom
-                        .args
-                        .iter()
-                        .map(|t| instantiate(t, b, &lit.atom.pred))
-                        .collect::<Result<_, _>>()?;
-                    let tup = Value::Tuple(vals);
-                    let present = view_instance(&lit.atom.pred, view, state, log, cache)
-                        .is_some_and(|inst| inst.contains(&tup));
-                    if !present {
-                        out.push(b.clone());
+                } else {
+                    for b in &bindings {
+                        let vals: Vec<Value> = lit
+                            .atom
+                            .args
+                            .iter()
+                            .map(|t| instantiate(t, b, &lit.atom.pred))
+                            .collect::<Result<_, _>>()?;
+                        if rows.contains(&Value::Tuple(vals)) {
+                            out.push(b.clone());
+                        }
                     }
                 }
+                out
             }
-        }
-        bindings = out;
-    }
-    stats.rules_fired += 1;
-    stats.tuples_derived += bindings.len() as u64;
-    Ok(bindings)
-}
-
-/// Evaluate a full rule body from a seed binding, every position at
-/// `view`. Rederivation asks "does any derivation survive?" by seeding
-/// with the head binding of a deleted fact and checking non-emptiness.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn body_bindings(
-    rule: &DlRule,
-    seed: &DlBindings,
-    view: View,
-    state: &Database,
-    log: &DeltaLog,
-    cache: &mut BTreeMap<String, Instance>,
-    stats: &mut EvalStats,
-) -> Result<Vec<DlBindings>, DlError> {
-    let mut bindings: Vec<DlBindings> = vec![seed.clone()];
-    for lit in &rule.body {
-        if bindings.is_empty() {
-            break;
-        }
-        let mut out = Vec::new();
-        if lit.positive {
-            if let Some(inst) = view_instance(&lit.atom.pred, view, state, log, cache) {
-                let mut rc_cache = RowCache::new();
-                for b in &bindings {
-                    for row in inst.iter() {
-                        match_row_cached(&lit.atom.args, row, b, &mut out, &mut rc_cache);
-                    }
-                }
+            _ => {
+                let view = match delta {
+                    Some((pos, _)) if i > pos => right,
+                    _ => left,
+                };
+                let rel = view_instance(&lit.atom.pred, view, state, log, cache).unwrap_or(&empty);
+                extend_bindings(lit, None, &bindings, rel, None, stats)?
             }
-        } else {
-            for b in &bindings {
-                let vals: Vec<Value> = lit
-                    .atom
-                    .args
-                    .iter()
-                    .map(|t| instantiate(t, b, &lit.atom.pred))
-                    .collect::<Result<_, _>>()?;
-                let tup = Value::Tuple(vals);
-                let present = view_instance(&lit.atom.pred, view, state, log, cache)
-                    .is_some_and(|inst| inst.contains(&tup));
-                if !present {
-                    out.push(b.clone());
-                }
-            }
-        }
-        bindings = out;
+        };
     }
     stats.rules_fired += 1;
     stats.tuples_derived += bindings.len() as u64;
@@ -268,8 +207,8 @@ mod tests {
         // restrict position 1 (the T literal) to the single delta row
         let bs = delta_bindings(
             &tc_rec_rule(),
-            1,
-            &delta,
+            &DlBindings::new(),
+            Some((1, &delta)),
             View::New,
             View::Old,
             &state,
