@@ -49,7 +49,7 @@ type Firing = (usize, u64, u64);
 
 /// Per-round firing bookkeeping for [`TraceEvent::RuleFired`] events.
 ///
-/// Engines record one entry per `fire_rule` call (a semi-naive round may
+/// Engines record one entry per rule firing (a semi-naive round may
 /// fire the same rule once per delta position); [`RuleFirings::emit_round`]
 /// aggregates the entries per rule, splits produced tuples into derived
 /// (newly inserted) vs deduplicated using the engine's insertion counts,
