@@ -426,7 +426,13 @@ impl Governor {
     /// `USET_CKPT` environment default). Every round-structured engine
     /// governed by this governor writes round-consistent checkpoints
     /// and, on its next run over the same program and input, resumes
-    /// from the last durable round.
+    /// from the last durable round. Each engine journals under
+    /// `<dir>/<engine>/`, and one live session in a process owns that
+    /// directory until it finishes or drops: a run that starts while
+    /// another run of the same engine over the same spec is live gets no
+    /// checkpoint session ([`Guard::ckpt_session`] returns `None`, with a
+    /// note on stderr) and runs without crash recovery. Long-lived
+    /// maintenance sessions report this through their `journaled()`.
     pub fn with_ckpt(mut self, spec: ckpt::Spec) -> Governor {
         self.ckpt = CkptConfig::Spec(spec);
         self
@@ -663,7 +669,9 @@ impl Guard {
     /// input with [`ckpt::fnv64`]) so a shared directory never resumes a
     /// *different* computation's state. Engines call
     /// [`ckpt::Session::recover`] next, then [`Guard::adopt_recovery`]
-    /// once the recovered payload decodes.
+    /// once the recovered payload decodes. `None` when no checkpoints
+    /// were asked for, or when the directory cannot be created or is
+    /// owned by another live session (see [`Governor::with_ckpt`]).
     pub fn ckpt_session(&self, fingerprint: u64) -> Option<ckpt::Session> {
         let spec = self.ckpt_spec.as_ref()?;
         ckpt::Session::open(spec, self.engine.as_str(), fingerprint)
@@ -855,9 +863,9 @@ impl Guard {
     /// deduplication (most raw derivations are duplicates of existing
     /// facts): 4× the remaining headroom plus 1024. Under an unlimited
     /// fact budget the allowance is unlimited and the brake only relays
-    /// cancellation. When the brake trips, the engine must surface it via
-    /// [`Guard::brake_trip`] — a truncated candidate buffer is not a
-    /// fixpoint, so evaluation cannot simply continue.
+    /// cancellation. A truncated candidate buffer is not a fixpoint, so
+    /// when the brake trips the engine must not continue from it: it
+    /// reports [`Guard::brake_trip`] or re-derives the round exactly.
     pub fn par_brake(&self) -> ParBrake {
         let allowance = self
             .budget
@@ -871,12 +879,31 @@ impl Guard {
         }
     }
 
-    /// Convert an engaged [`ParBrake`] into an authoritative facts trip
-    /// (emitting the usual `GuardTrip` event). The brake's allowance is a
-    /// multiple of the remaining fact headroom, so an engaged brake means
-    /// the round's raw derivations alone overran the budget; the caller
-    /// rolls the round back first and then reports through this, exactly
-    /// as if phase 2 had charged the facts one by one.
+    /// A brake with no allowance: it only relays cancellation, for a
+    /// phase that bounds its own buffering (see [`Guard::fact_headroom`]).
+    pub fn cancel_brake(&self) -> ParBrake {
+        ParBrake {
+            consumed: AtomicU64::new(0),
+            allowance: None,
+            tripped: AtomicBool::new(false),
+            cancel: self.cancel.clone(),
+        }
+    }
+
+    /// Facts the budget still admits before [`Guard::add_fact`] trips
+    /// (`None` under an unlimited fact budget).
+    pub fn fact_headroom(&self) -> Option<usize> {
+        self.budget
+            .max_facts
+            .map(|max| max.saturating_sub(self.facts))
+    }
+
+    /// Convert an engaged [`ParBrake`] into a facts trip (emitting the
+    /// usual `GuardTrip` event) reporting the facts stored so far. The
+    /// brake counts raw derivations, duplicates included, so an engaged
+    /// brake does not prove the round overruns the budget: a caller that
+    /// must trip exactly where one-by-one charging would re-derives the
+    /// round under [`Guard::cancel_brake`] instead.
     pub fn brake_trip(&mut self) -> Trip {
         let limit = self.budget.max_facts.unwrap_or(self.facts) as u64;
         self.trip(Resource::Facts, self.facts as u64, limit)
@@ -887,8 +914,9 @@ impl Guard {
 /// workers debit, plus the run's [`CancelToken`]. See
 /// [`Guard::par_brake`]. Workers poll [`ParBrake::should_stop`] between
 /// units and abandon their buffers when it fires; determinism is
-/// unaffected because an engaged brake always ends the run (via
-/// [`Guard::brake_trip`]) rather than feeding a truncated buffer onward.
+/// unaffected because an engaged brake never feeds a truncated buffer
+/// onward: the engine ends the run (via [`Guard::brake_trip`]) or
+/// re-derives the phase.
 #[derive(Debug)]
 pub struct ParBrake {
     consumed: AtomicU64,
