@@ -200,6 +200,15 @@ impl ColSession {
         &self.maint_stats
     }
 
+    /// Whether applied batches are journaled for crash recovery. False
+    /// when the governor asked for no checkpoints, and when another live
+    /// session in this process owns the journal directory: every
+    /// maintenance session under one spec journals to `<dir>/ivm/`, and
+    /// only the first to open it does so until it finishes or drops.
+    pub fn journaled(&self) -> bool {
+        self.journal.is_some()
+    }
+
     /// Batches applied so far.
     pub fn batches(&self) -> u64 {
         self.batches

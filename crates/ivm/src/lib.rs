@@ -194,6 +194,15 @@ impl MaterializedSession {
         }
     }
 
+    /// Whether applied batches are journaled for crash recovery (see
+    /// [`DatalogSession::journaled`]).
+    pub fn journaled(&self) -> bool {
+        match self {
+            MaterializedSession::Datalog(s) => s.journaled(),
+            MaterializedSession::Col(s) => s.journaled(),
+        }
+    }
+
     /// Close the checkpoint journal cleanly, if one is open.
     pub fn finish(&mut self) {
         match self {

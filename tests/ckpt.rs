@@ -25,6 +25,7 @@ use untyped_sets::deductive::{
 };
 use untyped_sets::gtm::{GtmBuilder, Move as GtmMove, RunOutcome, SymOut, SymPat, TapeSym};
 use untyped_sets::guard::{Budget, FailPoint, Governor, Resource};
+use untyped_sets::ivm::{ColSemantics, MaterializedSession, Semantics};
 use untyped_sets::object::{atom, Database, EvalStats, Instance};
 
 fn dv(name: &str) -> DlTerm {
@@ -763,5 +764,43 @@ fn gtm_crash_resume_equals_uninterrupted() {
             "a completed run must clear its checkpoint directory"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every maintenance session under one spec journals to `<dir>/ivm/`, so
+/// of two live sessions only the first is journaled — a DATALOG¬ and a
+/// COL session alike — and says so; once it finishes, the next session
+/// opened owns the journal again.
+#[test]
+fn concurrent_ivm_sessions_report_which_is_journaled() {
+    let dir = tmpdir("ivm-owner");
+    let gov = Governor::unlimited().with_ckpt(Spec::new(&dir));
+    let db = path_db(6);
+    let open_dl = || {
+        MaterializedSession::datalog(dl_tc_neg(), &db, Semantics::StratifiedSeminaive, &gov)
+            .expect("datalog session")
+    };
+    let open_col = || {
+        let (cfg, strategy) = (ColConfig::default(), ColStrategy::Seminaive);
+        MaterializedSession::col(
+            col_prog(),
+            &db,
+            cfg,
+            strategy,
+            ColSemantics::Stratified,
+            &gov,
+        )
+        .expect("col session")
+    };
+    let mut first = open_dl();
+    let (mut col, mut dl) = (open_col(), open_dl());
+    assert!(first.journaled());
+    assert!(!col.journaled() && !dl.journaled());
+    col.finish();
+    dl.finish();
+    first.finish();
+    let mut next = open_col();
+    assert!(next.journaled());
+    next.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }
