@@ -24,7 +24,8 @@ use untyped_sets::deductive::{
     ColRule, ColState, ColStrategy, ColTerm, DatalogProgram, DlAtom, DlError, DlRule, DlTerm,
 };
 use untyped_sets::guard::{CkptConfig, FailPoint, Governor};
-use untyped_sets::object::{atom, intern, Database, EvalStats, Instance};
+use untyped_sets::object::cons::singleton_chain;
+use untyped_sets::object::{atom, intern, Atom, Database, EvalStats, Instance, Value};
 use untyped_sets::par::ParConfig;
 use untyped_sets::trace::TraceHandle;
 
@@ -38,11 +39,25 @@ fn hex(bytes: &[u8]) -> String {
 /// A 6-vertex graph: a path 0→…→5 closing a cycle 5→3, so TC has both a
 /// long chain and a strongly connected tail.
 fn graph() -> Database {
+    graph_over(atom)
+}
+
+/// The same graph over vertex `i` as `vertex(i)`.
+fn graph_over(vertex: impl Fn(u64) -> Value) -> Database {
     let mut db = Database::empty();
-    let mut edges: Vec<[_; 2]> = (0..5u64).map(|i| [atom(i), atom(i + 1)]).collect();
-    edges.push([atom(5), atom(3)]);
+    let mut edges: Vec<[_; 2]> = (0..5u64).map(|i| [vertex(i), vertex(i + 1)]).collect();
+    edges.push([vertex(5), vertex(3)]);
     db.set("E", Instance::from_rows(edges));
     db
+}
+
+/// Vertex `i` as a singleton chain `{…{a_i}…}` of mixed depth (1 to 4),
+/// the vertex shape the `fixpoint` benchmark uses.
+fn chain_vertex(i: u64) -> Value {
+    let depth = [1, 3, 2, 4, 1, 2][i as usize];
+    singleton_chain(Atom::new(i), depth + 1)
+        .pop()
+        .expect("chain of length ≥ 1")
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -253,6 +268,11 @@ struct DlConfig {
 
 /// TC, a constant-support rule, and a second stratum negating TC.
 fn dl_prog() -> DatalogProgram {
+    dl_prog_from(atom(0))
+}
+
+/// [`dl_prog`] with `zero` as the constant-support rule's start vertex.
+fn dl_prog_from(zero: Value) -> DatalogProgram {
     let v = DlTerm::var;
     DatalogProgram::new(vec![
         DlRule::new(
@@ -268,7 +288,7 @@ fn dl_prog() -> DatalogProgram {
         ),
         DlRule::new(
             DlAtom::new("S", vec![v("x")]),
-            vec![(true, DlAtom::new("E", vec![DlTerm::Const(atom(0)), v("x")]))],
+            vec![(true, DlAtom::new("E", vec![DlTerm::Const(zero), v("x")]))],
         ),
         DlRule::new(
             DlAtom::new("NR", vec![v("x"), v("y")]),
@@ -677,4 +697,128 @@ fn col_observables_are_pinned() {
         }
     }
     check(rows, COL_GOLDEN);
+}
+
+// ------------------------------------------------------------ set-valued
+
+const SET_VALUED_GOLDEN: &[(&str, &str, &str)] = &[
+    ("set-dl-seminaive-w1", "state", "fd3d2aa8fc79598c"),
+    (
+        "set-dl-seminaive-w1",
+        "stats",
+        "rounds=8 rules_fired=9 tuples_derived=41 index_probes=7 scan_fallbacks=0 peak_facts=43",
+    ),
+    ("set-dl-seminaive-w1", "trace", "7fba44f81d6bdc6c"),
+    ("set-dl-seminaive-w1", "sweep_done_at", "46"),
+    (
+        "set-dl-seminaive-w1",
+        "recovered_every1",
+        "round=6 ticks=28 deltas=0 32ccccfbd45e6cd5",
+    ),
+    (
+        "set-dl-seminaive-w1",
+        "recovered_every3",
+        "round=6 ticks=28 deltas=2 680f5ae9ee8ecf77",
+    ),
+    ("set-dl-seminaive-w4", "state", "fd3d2aa8fc79598c"),
+    (
+        "set-dl-seminaive-w4",
+        "stats",
+        "rounds=8 rules_fired=9 tuples_derived=41 index_probes=7 scan_fallbacks=0 peak_facts=43",
+    ),
+    ("set-dl-seminaive-w4", "trace", "dce17857a7971130"),
+    ("set-dl-seminaive-w4", "sweep_done_at", "46"),
+    (
+        "set-dl-seminaive-w4",
+        "recovered_every1",
+        "round=6 ticks=28 deltas=0 32ccccfbd45e6cd5",
+    ),
+    (
+        "set-dl-seminaive-w4",
+        "recovered_every3",
+        "round=6 ticks=28 deltas=2 680f5ae9ee8ecf77",
+    ),
+    (
+        "set-col-stratified-Seminaive-w1",
+        "state",
+        "cff92c797fc91ff4",
+    ),
+    (
+        "set-col-stratified-Seminaive-w1",
+        "stats",
+        "rounds=10 rules_fired=26 tuples_derived=82 index_probes=6 scan_fallbacks=0 peak_facts=84",
+    ),
+    (
+        "set-col-stratified-Seminaive-w1",
+        "trace",
+        "87bbfdfcbfb91799",
+    ),
+    ("set-col-stratified-Seminaive-w1", "sweep_done_at", "123"),
+    (
+        "set-col-stratified-Seminaive-w1",
+        "recovered_every1",
+        "round=5 ticks=84 deltas=0 e8db706d892a3ab8",
+    ),
+    (
+        "set-col-stratified-Seminaive-w1",
+        "recovered_every3",
+        "round=5 ticks=84 deltas=0 e8db706d892a3ab8",
+    ),
+    (
+        "set-col-stratified-Seminaive-w4",
+        "state",
+        "cff92c797fc91ff4",
+    ),
+    (
+        "set-col-stratified-Seminaive-w4",
+        "stats",
+        "rounds=10 rules_fired=26 tuples_derived=82 index_probes=6 scan_fallbacks=0 peak_facts=84",
+    ),
+    (
+        "set-col-stratified-Seminaive-w4",
+        "trace",
+        "ea46356c126f7449",
+    ),
+    ("set-col-stratified-Seminaive-w4", "sweep_done_at", "123"),
+    (
+        "set-col-stratified-Seminaive-w4",
+        "recovered_every1",
+        "round=5 ticks=84 deltas=0 e8db706d892a3ab8",
+    ),
+    (
+        "set-col-stratified-Seminaive-w4",
+        "recovered_every3",
+        "round=5 ticks=84 deltas=0 e8db706d892a3ab8",
+    ),
+];
+
+/// The semi-naive engines over set-valued vertices: joins, negation and
+/// head construction on nested values, not only on atoms.
+#[test]
+fn set_valued_observables_are_pinned() {
+    let db = graph_over(chain_vertex);
+    let mut rows = Vec::new();
+    let dl = DlConfig {
+        sem: DlSem::Seminaive,
+        prog: dl_prog_from(chain_vertex(0)),
+        db: db.clone(),
+    };
+    let col = ColRun {
+        stratified: true,
+        strategy: ColStrategy::Seminaive,
+        prog: col_prog(),
+        db,
+        config: ColConfig::default(),
+    };
+    let configs: [(&str, &dyn Config); 2] = [
+        ("set-dl-seminaive", &dl),
+        ("set-col-stratified-Seminaive", &col),
+    ];
+    for (tag, cfg) in configs {
+        for w in WIDTHS {
+            let name = format!("{tag}-w{w}");
+            rows.push((name.clone(), digests(cfg, w, &name)));
+        }
+    }
+    check(rows, SET_VALUED_GOLDEN);
 }
