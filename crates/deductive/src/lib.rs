@@ -22,6 +22,7 @@ pub mod chain;
 pub mod col;
 pub mod datalog;
 mod fixpoint;
+pub mod plan;
 
 pub use col::ast::{ColHead, ColLiteral, ColProgram, ColRule, ColTerm};
 pub use col::eval::{

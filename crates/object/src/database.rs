@@ -147,6 +147,29 @@ impl std::hash::Hash for Instance {
     }
 }
 
+/// A row handed to [`Instance::insert_ref`] or [`Database::insert_row`]:
+/// the value, and its canonical pool id when the caller already built it
+/// (it must be `Pool::global().intern(value)`).
+#[derive(Clone, Copy, Debug)]
+pub struct RowRef<'r> {
+    /// The row.
+    pub value: &'r Value,
+    /// The row's pool id, if the caller holds it.
+    pub id: Option<ObjRef>,
+}
+
+impl<'r> From<&'r Value> for RowRef<'r> {
+    fn from(value: &'r Value) -> RowRef<'r> {
+        RowRef { value, id: None }
+    }
+}
+
+impl<'r> From<(&'r Value, Option<ObjRef>)> for RowRef<'r> {
+    fn from((value, id): (&'r Value, Option<ObjRef>)) -> RowRef<'r> {
+        RowRef { value, id }
+    }
+}
+
 impl Instance {
     /// The empty instance.
     pub fn empty() -> Self {
@@ -268,13 +291,16 @@ impl Instance {
         added
     }
 
-    /// Insert by reference, cloning `v` only if it is actually new —
-    /// the fixpoint engines' hot path, where the overwhelmingly common
-    /// case is a duplicate candidate that should cost one lookup and no
-    /// allocation.
-    pub fn insert_ref(&mut self, v: &Value) -> bool {
+    /// Insert by reference, cloning the value only if it is actually
+    /// new — the fixpoint engines' hot path, where the overwhelmingly
+    /// common case is a duplicate candidate that should cost one lookup
+    /// and no allocation. A caller that already holds the row's pool id
+    /// passes it along ([`RowRef`]), so the id sidecar need not intern
+    /// the row again.
+    pub fn insert_ref<'r>(&mut self, row: impl Into<RowRef<'r>>) -> bool {
+        let RowRef { value: v, id } = row.into();
         if self.live_sidecar() {
-            let id = Pool::global().intern(v);
+            let id = id.unwrap_or_else(|| Pool::global().intern(v));
             let rs = self.refs.get_mut().expect("live sidecar");
             if rs.ids.contains(&id) {
                 debug_assert!(self.values.contains(v));
@@ -650,13 +676,14 @@ impl Database {
     /// insertion the fixpoint engines use — unlike `get`/`set` it never
     /// clones the instance, and duplicate rows (the common case inside a
     /// fixpoint) cost one lookup and no allocation.
-    pub fn insert_row(&mut self, name: &str, row: &Value) -> bool {
+    pub fn insert_row<'r>(&mut self, name: &str, row: impl Into<RowRef<'r>>) -> bool {
+        let row = row.into();
         if let Some(rel) = self.relations.get_mut(name) {
             return rel.insert_ref(row);
         }
         self.relations
             // must stay: only the first row of a brand-new relation clones
-            .insert(name.to_owned(), Instance::from_values([row.clone()]));
+            .insert(name.to_owned(), Instance::from_values([row.value.clone()]));
         true
     }
 

@@ -45,7 +45,7 @@ pub mod stats;
 pub mod value;
 
 pub use atom::Atom;
-pub use database::{Database, Instance, Schema};
+pub use database::{Database, Instance, RowRef, Schema};
 pub use error::{ObjectError, Result};
 pub use index::{ColumnIndex, IndexSet};
 pub use intern::{InternStats, ObjRef, Pool};
