@@ -598,7 +598,7 @@ pub fn eval_rounds_with(
         let snapshot = state.clone();
         let round_start = derivations.len();
         let workers = guard.workers();
-        if workers > 1 {
+        let parallel = if workers > 1 {
             // phase 1, parallel: every rule's binding search runs against
             // the shared pre-round snapshot on the worker pool; budget
             // observations are replayed against the real guard in rule
@@ -631,13 +631,15 @@ pub fn eval_rounds_with(
                     return Err(exhaust(trip, state, derivations, *stats));
                 }
             };
-            if brake.engaged() {
-                // a worker overran the derivation allowance mid-round:
-                // nothing was inserted yet, so the state is exactly the
-                // last completed round's snapshot
-                let trip = guard.brake_trip();
-                return Err(exhaust(trip, state, derivations, *stats));
-            }
+            // a worker overran the derivation allowance, which counts raw
+            // bindings, duplicates included: nothing was inserted yet, so
+            // the sequential round below derives it again one fact at a
+            // time, tripping only if its new facts overrun the budget
+            (!brake.engaged()).then_some((rule_list, outputs))
+        } else {
+            None
+        };
+        if let Some((rule_list, outputs)) = parallel {
             // phase 2: replay each worker's budget observations against
             // the real guard and insert, in rule order
             let merge = |state: &mut BkState,
@@ -695,7 +697,7 @@ pub fn eval_rounds_with(
                             });
                         }
                     }
-                    if timed {
+                    if ctx.enabled() {
                         ctx.record(idx, produced, wall);
                     }
                 }

@@ -536,6 +536,41 @@ mod parallel_governance {
         }
     }
 
+    /// BK's parallel phase charges the same brake with raw bindings:
+    /// `P{[A:x]} ← R{[A:x]}, R{[A:y]}` over 100 `R` facts binds 10 000
+    /// times, past the allowance (4 × 100 headroom + 1 024), for 101
+    /// distinct facts (`A:⊥` included). The braked round is derived again
+    /// sequentially, so a budget the fixpoint fits exactly completes at
+    /// widths 1 and 4 with the unbudgeted state.
+    #[test]
+    fn bk_brake_never_trips_a_fitting_fixpoint() {
+        use untyped_sets::bk::{BkRule, BkTerm};
+        let n = 100;
+        let attr = |v: &str| BkTerm::tuple([("A", BkTerm::var(v))]);
+        let prog = BkProgram::new(vec![BkRule::new(
+            "P",
+            attr("x"),
+            vec![("R", attr("x")), ("R", attr("y"))],
+        )]);
+        let st = state_from([(
+            "R",
+            (0..n)
+                .map(|i| BkObject::tuple([("A", BkObject::atom(i))]))
+                .collect::<Vec<_>>(),
+        )]);
+        let cfg = BkConfig::default();
+        let run = |gov: &Governor| eval_rounds_governed(&prog, &st, &cfg, gov).map(|r| (r.0, r.2));
+        let full = run(&Governor::unlimited()).expect("unbudgeted");
+        assert_eq!(full.0["P"].len(), n as usize + 1);
+        let fits: usize = full.0.values().map(|facts| facts.len()).sum();
+        for w in [1, 4] {
+            let gov =
+                Governor::new(Budget::unlimited().with_facts(fits)).with_par(ParConfig::workers(w));
+            let got = run(&gov);
+            assert_eq!(got.as_ref().ok(), Some(&full), "width {w}");
+        }
+    }
+
     #[test]
     fn datalog_failpoint_cancels_mid_round_at_width_4() {
         let db = path_db(16);
