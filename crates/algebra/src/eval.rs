@@ -533,7 +533,7 @@ pub fn eval_program_governed(
 ) -> EvalResult<Instance> {
     let mut guard = governor.guard(EngineId::Algebra);
     let run_start = engine_start(ENGINE, &governor.trace);
-    let mut session = guard.ckpt_session(alg_fingerprint(prog, db));
+    let mut session = guard.ckpt_session(|| alg_fingerprint(prog, db));
     let mut start = 0usize;
     let mut mid_while = false;
     let mut env: HashMap<String, Instance> =

@@ -563,7 +563,7 @@ pub fn eval_rounds_with(
     let mut derivations: Vec<Derivation> = Vec::new();
     // recover the last durable round of a matching interrupted run, if
     // the governor configured a checkpoint directory
-    let mut session = guard.ckpt_session(bk_fingerprint(prog, input, config));
+    let mut session = guard.ckpt_session(|| bk_fingerprint(prog, input, config));
     let mut start_round = 0;
     if let Some(sess) = session.as_mut() {
         if let Some(rec) = sess.recover() {

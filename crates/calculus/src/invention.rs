@@ -100,7 +100,7 @@ fn calc_open_ckpt(
     cap: usize,
     db: &Database,
 ) -> (Option<ckpt::Session>, Option<CalcResume>) {
-    let mut session = guard.ckpt_session(calc_fingerprint(kind, q, cap, db));
+    let mut session = guard.ckpt_session(|| calc_fingerprint(kind, q, cap, db));
     let mut resume = None;
     if let Some(sess) = session.as_mut() {
         if let Some(rec) = sess.recover() {

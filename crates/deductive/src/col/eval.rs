@@ -1334,7 +1334,7 @@ fn governed(
     governor: &Governor,
     stats: &mut EvalStats,
 ) -> Result<ColState, ColEvalError> {
-    let fingerprint = col_fingerprint(kind, engine.strategy, prog, db);
+    let fingerprint = || col_fingerprint(kind, engine.strategy, prog, db);
     let plans: Vec<ColPlan> = prog.rules.iter().map(ColPlan::compile).collect();
     let strata: Vec<Vec<(usize, &ColPlan)>> = strata
         .iter()

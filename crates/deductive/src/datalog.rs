@@ -329,7 +329,7 @@ impl DatalogProgram {
         governor: &Governor,
         stats: &mut EvalStats,
     ) -> Result<Database, DlError> {
-        let fingerprint = dl_fingerprint(kind, &self.rules, db);
+        let fingerprint = || dl_fingerprint(kind, &self.rules, db);
         let plans: Vec<DlPlan> = self.rules.iter().map(DlPlan::compile).collect();
         let strata: Vec<Vec<(usize, &DlPlan)>> = strata
             .iter()
@@ -712,7 +712,7 @@ impl Engine for Dl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Frame;
+    use crate::plan::{Frame, Overlay};
     use uset_object::{atom, tuple, ColumnIndex};
 
     fn v(name: &str) -> DlTerm {
@@ -754,8 +754,12 @@ mod tests {
         // counts one fallback, plain scans, delta joins and negated
         // membership probes count nothing — identically with the pool on
         // and off, since the interned negated-probe path must be
-        // observationally invisible.
+        // observationally invisible. A positive literal that is ground when
+        // a plain scan reaches it becomes a membership test: the same
+        // frames as the scan, and again no counts.
         let rel = Instance::from_rows((0..8u64).map(|i| [atom(i), atom(i + 1)]));
+        // large enough for the pool-id probe to answer
+        let big = Instance::from_rows((0..32u64).map(|i| [atom(i), atom(i + 1)]));
         // P(y) ← E(3, y), ¬E(3, 4)
         let rule = DlRule::new(
             DlAtom::new("P", vec![v("y")]),
@@ -769,6 +773,34 @@ mod tests {
         );
         let plan = DlPlan::compile(&rule);
         let frames = vec![plan.frame()];
+        // Q(y, z) ← E(y, z), E(z, 9), E(y, y)
+        let bound = DlPlan::compile(&DlRule::new(
+            DlAtom::new("Q", vec![v("y"), v("z")]),
+            vec![
+                (true, DlAtom::new("E", vec![v("y"), v("z")])),
+                (true, DlAtom::new("E", vec![v("z"), DlTerm::Const(atom(9))])),
+                (true, DlAtom::new("E", vec![v("y"), v("y")])),
+            ],
+        ));
+        // E(z, 9) is ground when reached: its probe column is bound
+        assert_eq!(bound.body[1].probe, Some(0));
+        let all = bound
+            .join(
+                0,
+                &[bound.frame()],
+                Read::Scan(Overlay::plain(&big)),
+                &mut EvalStats::default(),
+            )
+            .unwrap();
+        let slots = |fs: &[Frame<'_>]| -> Vec<Vec<Option<Value>>> {
+            fs.iter()
+                .map(|f| {
+                    f.iter()
+                        .map(|b| b.as_ref().map(|b| b.value().clone()))
+                        .collect()
+                })
+                .collect()
+        };
         let idx = ColumnIndex::build_on(&rel, 0);
         let delta = DeltaJoin::new(rel.iter(), plan.body[0].probe);
         let heads = |fs: Vec<Frame<'_>>| -> Vec<Value> {
@@ -782,9 +814,32 @@ mod tests {
             let mut join = |read| plan.join(0, &frames, read, &mut stats).unwrap();
             let hit = heads(join(Read::Settled(&rel, Some(&idx))));
             let scan = heads(join(Read::Settled(&rel, None)));
-            let plain = heads(join(Read::Scan(&rel)));
+            let plain = heads(join(Read::Scan(Overlay::plain(&rel))));
             let hashed = heads(join(Read::Delta(&delta)));
-            let negated = plan.join(1, &frames, Read::Scan(&rel), &mut stats).unwrap();
+            let negated = plan
+                .join(1, &frames, Read::Scan(Overlay::plain(&rel)), &mut stats)
+                .unwrap();
+            for base in [&rel, &big] {
+                let mut probed = EvalStats::default();
+                let read = Read::Scan(Overlay::plain(base));
+                let member = bound.join(1, &all, read, &mut probed).unwrap();
+                let scanned = bound
+                    .join(
+                        1,
+                        &all,
+                        Read::Settled(base, None),
+                        &mut EvalStats::default(),
+                    )
+                    .unwrap();
+                assert_eq!(
+                    slots(&member),
+                    slots(&scanned),
+                    "membership ≡ scan (knob={on})"
+                );
+                let none = bound.join(2, &member, read, &mut probed).unwrap();
+                assert!(none.is_empty(), "no E(y, y) row");
+                assert_eq!(probed, EvalStats::default(), "membership counts nothing");
+            }
             assert_eq!(stats.index_probes, 1, "one bucket probe (knob={on})");
             assert_eq!(stats.scan_fallbacks, 1, "one scan fallback (knob={on})");
             assert_eq!(hit, vec![tuple([atom(4)])]);

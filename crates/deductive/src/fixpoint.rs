@@ -214,7 +214,7 @@ pub(crate) fn run<E: Engine>(
     engine: &E,
     governor: &Governor,
     stats: &mut EvalStats,
-    fingerprint: u64,
+    fingerprint: impl FnOnce() -> u64,
     strata: &[Vec<(usize, &E::Rule)>],
     init: impl FnOnce() -> E::State,
 ) -> Result<E::State, E::Error> {

@@ -11,12 +11,15 @@
 //! semi-naive firing, its delta role: the delta literal joins through a
 //! [`DeltaJoin`], a hash of the unit's delta rows on the column that
 //! earlier literals bind. DATALOG¬ ([`DlPlan`], here), COL (`col::eval`)
-//! and the maintenance engine (`uset-ivm`) all run these plans.
+//! and the maintenance engine (`uset-ivm`) all run these plans. The
+//! maintenance engine reads relations through an [`Overlay`], which can
+//! present a relation as it was before a batch without copying it.
 
 use crate::datalog::{render_fact, DlAtom, DlError, DlRule, DlTerm};
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use uset_object::index::nth_column;
 use uset_object::intern::FxBuildHasher;
@@ -115,6 +118,100 @@ impl<'a> DeltaJoin<'a> {
     }
 }
 
+/// A relation as a plain scan reads it: `base` itself, or `base` with a
+/// batch's `added` rows hidden and its `removed` rows shown again — the
+/// pre-batch value `base − added + removed`, read without materializing
+/// it. Scans keep canonical order, exactly as the materialized instance
+/// would iterate.
+#[derive(Clone, Copy)]
+pub struct Overlay<'a> {
+    base: &'a Instance,
+    undo: Option<(&'a BTreeSet<Value>, &'a BTreeSet<Value>)>,
+}
+
+impl<'a> Overlay<'a> {
+    /// `base` as it is.
+    pub fn plain(base: &'a Instance) -> Overlay<'a> {
+        Overlay { base, undo: None }
+    }
+
+    /// `base` with the rows in `added` hidden and those in `removed`
+    /// shown.
+    pub fn undoing(
+        base: &'a Instance,
+        added: &'a BTreeSet<Value>,
+        removed: &'a BTreeSet<Value>,
+    ) -> Overlay<'a> {
+        Overlay {
+            base,
+            undo: Some((added, removed)),
+        }
+    }
+
+    /// The rows, in canonical order: `base` minus `added`, merged with
+    /// `removed`.
+    pub fn iter(self) -> impl Iterator<Item = &'a Value> {
+        let plain = self.undo.is_none().then(|| self.base.iter());
+        let undone = self
+            .undo
+            .map(|(added, removed)| undo_rows(self.base, added, removed));
+        plain
+            .into_iter()
+            .flatten()
+            .chain(undone.into_iter().flatten())
+    }
+
+    /// Whether `row` is a member, given whether `base` holds it.
+    fn shows(&self, row: &Value, in_base: bool) -> bool {
+        match self.undo {
+            None => in_base,
+            Some((added, _)) if in_base => !added.contains(row),
+            Some((_, removed)) => removed.contains(row),
+        }
+    }
+
+    /// Membership: `(base ∋ row ∧ row ∉ added) ∨ row ∈ removed`.
+    pub fn contains(&self, row: &Value) -> bool {
+        self.shows(row, self.base.contains(row))
+    }
+}
+
+/// `base − added + removed` in canonical order, from three sorted
+/// sequences: hiding walks `added` alongside `base`, and the kept rows
+/// merge with `removed`.
+fn undo_rows<'a>(
+    base: &'a Instance,
+    added: &'a BTreeSet<Value>,
+    removed: &'a BTreeSet<Value>,
+) -> impl Iterator<Item = &'a Value> {
+    let mut hide = added.iter().peekable();
+    let mut kept = base
+        .iter()
+        .filter(move |r| loop {
+            match hide.peek().map(|h| h.cmp(r)) {
+                Some(Ordering::Less) => {
+                    hide.next();
+                }
+                Some(Ordering::Equal) => return false,
+                _ => return true,
+            }
+        })
+        .peekable();
+    let mut shown = removed.iter().peekable();
+    std::iter::from_fn(move || match (kept.peek(), shown.peek()) {
+        (Some(k), Some(s)) => match k.cmp(s) {
+            Ordering::Less => kept.next(),
+            Ordering::Greater => shown.next(),
+            Ordering::Equal => {
+                shown.next();
+                kept.next()
+            }
+        },
+        (Some(_), None) => kept.next(),
+        (None, _) => shown.next(),
+    })
+}
+
 /// A compiled DATALOG¬ argument.
 #[derive(Clone, Debug)]
 enum Arg {
@@ -147,8 +244,10 @@ pub enum Read<'x, 'a> {
     /// `index` (one `index_probes` each), or scans and counts a
     /// `scan_fallbacks` when no index is at hand.
     Settled(&'a Instance, Option<&'a ColumnIndex>),
-    /// A plain scan that counts nothing.
-    Scan(&'a Instance),
+    /// A plain scan that counts nothing; a positive step whose arguments
+    /// are all ground becomes one membership test instead (also counting
+    /// nothing).
+    Scan(Overlay<'a>),
     /// The unit's delta, through its hash (counts nothing).
     Delta(&'x DeltaJoin<'a>),
 }
@@ -251,7 +350,8 @@ impl DlPlan {
         let mut out = Vec::new();
         if !step.positive {
             let rel = match read {
-                Read::Settled(rel, _) | Read::Scan(rel) => rel,
+                Read::Settled(rel, _) => Overlay::plain(rel),
+                Read::Scan(rel) => rel,
                 Read::Delta(_) => unreachable!("a negated literal never reads a delta join"),
             };
             for f in frames {
@@ -281,7 +381,17 @@ impl DlPlan {
                         extend_row(step, f, row, &mut out);
                     }
                 }
-                (Read::Settled(rel, _) | Read::Scan(rel), _) => {
+                (Read::Scan(rel), _) if self.is_ground(step, f) => {
+                    if self.holds(step, f, rel)? {
+                        out.push(f.clone());
+                    }
+                }
+                (Read::Scan(rel), _) => {
+                    for row in rel.iter() {
+                        extend_row(step, f, row, &mut out);
+                    }
+                }
+                (Read::Settled(rel, _), _) => {
                     for row in rel.iter() {
                         extend_row(step, f, row, &mut out);
                     }
@@ -291,16 +401,30 @@ impl DlPlan {
         Ok(out)
     }
 
-    /// Whether the ground atom of literal `step` under `f` is in `rel`,
-    /// probed by pool id when the relation's id sidecar can answer.
-    fn holds(&self, step: &DlStep, f: &Frame<'_>, rel: &Instance) -> Result<bool, DlError> {
+    /// Whether every argument of `step` is ground under `f`.
+    fn is_ground(&self, step: &DlStep, f: &Frame<'_>) -> bool {
+        step.args.iter().all(|a| match a {
+            Arg::Const(_) => true,
+            Arg::Slot(s) => f[*s].is_some(),
+        })
+    }
+
+    /// Whether the ground atom of literal `step` under `f` is in `rel`.
+    /// The base relation is probed by pool id when its id sidecar can
+    /// answer; the row is materialized when that cannot, or when an
+    /// overlay must look it up among the batch's rows.
+    fn holds(&self, step: &DlStep, f: &Frame<'_>, rel: Overlay<'_>) -> Result<bool, DlError> {
+        let mut in_base = None;
         if intern::enabled() {
             let ids = self.ids(&step.args, f, &step.pred)?;
-            if let Some(hit) = rel.contains_ref(Pool::global().tuple_of(&ids)) {
+            in_base = rel.base.contains_ref(Pool::global().tuple_of(&ids));
+            if let (Some(hit), None) = (in_base, rel.undo) {
                 return Ok(hit);
             }
         }
-        Ok(rel.contains(&self.ground(&step.args, f, &step.pred)?))
+        let row = self.ground(&step.args, f, &step.pred)?;
+        let in_base = in_base.unwrap_or_else(|| rel.base.contains(&row));
+        Ok(rel.shows(&row, in_base))
     }
 
     /// The value an argument is bound to, if any.

@@ -526,7 +526,7 @@ impl Gtm {
         let mut stats = EvalStats::default();
         let mut cfg = self.initial_config(tape1);
         let mut steps: u64 = 0;
-        let mut session = guard.ckpt_session(self.fingerprint(&cfg.tape1));
+        let mut session = guard.ckpt_session(|| self.fingerprint(&cfg.tape1));
         if let Some(sess) = session.as_mut() {
             if let Some(rec) = sess.recover() {
                 if let Some(r) = gtm_decode(&rec.payload) {

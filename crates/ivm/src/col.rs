@@ -141,7 +141,8 @@ impl ColSession {
             .map(|r| r.head_symbol().to_owned())
             .collect();
         let guard = governor.guard(EngineId::Ivm);
-        let mut journal = guard.ckpt_session(fingerprint(&prog, &config, strategy, semantics, db));
+        let mut journal =
+            guard.ckpt_session(|| fingerprint(&prog, &config, strategy, semantics, db));
         let mut edb = db.clone();
         let mut maint_stats = EvalStats::default();
         let mut batches = 0u64;

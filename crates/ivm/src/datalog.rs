@@ -200,7 +200,7 @@ impl DatalogSession {
         prog.check_safety().map_err(IvmError::Datalog)?;
         let governor = governor.clone();
         let mut guard = governor.guard(EngineId::Ivm);
-        let mut journal = guard.ckpt_session(fingerprint(&prog, semantics, db));
+        let mut journal = guard.ckpt_session(|| fingerprint(&prog, semantics, db));
         let mut edb = db.clone();
         let mut maint_stats = EvalStats::default();
         let mut batches = 0u64;
@@ -491,26 +491,14 @@ fn init_counts(
     guard: &mut Guard,
     stats: &mut EvalStats,
 ) -> Result<(), MaintErr> {
-    let log = DeltaLog::default();
     for stratum in strata {
         if stratum.plan != StratumPlan::Counting {
             continue;
         }
-        let mut cache = BTreeMap::new();
         for &ri in &stratum.rules {
             guard.step()?;
             let plan = &plans[ri];
-            let heads = delta_heads(
-                plan,
-                plan.frame(),
-                None,
-                View::New,
-                View::New,
-                state,
-                &log,
-                &mut cache,
-                stats,
-            )?;
+            let heads = delta_heads(plan, plan.frame(), None, View::New, View::New, state, stats)?;
             for row in heads {
                 *counts
                     .entry(plan.head_pred().to_owned())
@@ -623,7 +611,6 @@ fn maintain_counting(
     if !stratum_touched(plans, stratum, log) {
         return Ok((0, 0));
     }
-    let mut cache = BTreeMap::new();
     let mut signed: BTreeMap<(String, Value), i64> = BTreeMap::new();
     for &ri in &stratum.rules {
         let plan = &plans[ri];
@@ -648,10 +635,8 @@ fn maintain_counting(
                     plan.frame(),
                     Some((i, rows)),
                     View::New,
-                    View::Old,
+                    View::Old(log),
                     state,
-                    log,
-                    &mut cache,
                     stats,
                 )?;
                 for row in heads {
@@ -744,8 +729,6 @@ fn rederivable(
     state: &Database,
     stats: &mut EvalStats,
 ) -> Result<bool, DlError> {
-    let log = DeltaLog::default();
-    let mut cache = BTreeMap::new();
     for &ri in &stratum.rules {
         let plan = &plans[ri];
         if plan.head_pred() != pred {
@@ -754,17 +737,7 @@ fn rederivable(
         let Some(seed) = plan.seed(row) else {
             continue;
         };
-        let heads = delta_heads(
-            plan,
-            seed,
-            None,
-            View::New,
-            View::New,
-            state,
-            &log,
-            &mut cache,
-            stats,
-        )?;
+        let heads = delta_heads(plan, seed, None, View::New, View::New, state, stats)?;
         if !heads.is_empty() {
             return Ok(true);
         }
@@ -800,7 +773,6 @@ fn maintain_dred(
     }
 
     // ---- phase 1: over-delete at old views -------------------------
-    let mut cache = BTreeMap::new();
     let mut deleted: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
     let mut pending: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
     for &ri in &stratum.rules {
@@ -821,11 +793,9 @@ fn maintain_dred(
                 plan,
                 plan.frame(),
                 Some((i, loss)),
-                View::Old,
-                View::Old,
+                View::Old(log),
+                View::Old(log),
                 state,
-                log,
-                &mut cache,
                 stats,
             )?;
             for row in heads {
@@ -860,11 +830,9 @@ fn maintain_dred(
                     plan,
                     plan.frame(),
                     Some((i, rows)),
-                    View::Old,
-                    View::Old,
+                    View::Old(log),
+                    View::Old(log),
                     state,
-                    log,
-                    &mut cache,
                     stats,
                 )?;
                 for row in heads {
@@ -941,7 +909,6 @@ fn maintain_dred(
     }
 
     // ---- phase 3: insertions, semi-naive within the stratum --------
-    let mut cache3 = BTreeMap::new();
     let mut pending: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
     let mut inserted_rows: Vec<(String, Value)> = Vec::new();
     for &ri in &stratum.rules {
@@ -965,8 +932,6 @@ fn maintain_dred(
                 View::New,
                 View::New,
                 state,
-                log,
-                &mut cache3,
                 stats,
             )?;
             for row in heads {
@@ -1005,8 +970,6 @@ fn maintain_dred(
                     View::New,
                     View::New,
                     state,
-                    log,
-                    &mut cache3,
                     stats,
                 )?;
                 for row in heads {

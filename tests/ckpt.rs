@@ -311,7 +311,7 @@ fn wall_budget_spans_resume() {
         // the "interrupted" run: unlimited budget, dies after one commit
         let gov = Governor::unlimited().with_ckpt(spec.clone());
         let guard = gov.guard(EngineId::Datalog);
-        let mut session = guard.ckpt_session(fp).expect("session opens");
+        let mut session = guard.ckpt_session(|| fp).expect("session opens");
         std::thread::sleep(Duration::from_millis(250));
         let stats = EvalStats::default();
         session.commit(&guard.round_ckpt(1, &stats, vec![1, 2, 3]));
@@ -322,7 +322,7 @@ fn wall_budget_spans_resume() {
     let gov = Governor::new(Budget::unlimited().with_wall(Duration::from_millis(200)))
         .with_ckpt(spec.clone());
     let mut guard = gov.guard(EngineId::Datalog);
-    let mut session = guard.ckpt_session(fp).expect("session reopens");
+    let mut session = guard.ckpt_session(|| fp).expect("session reopens");
     let rec = session.recover().expect("recovers the committed round");
     assert!(
         rec.elapsed_micros >= 250_000,
