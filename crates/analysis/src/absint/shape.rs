@@ -246,11 +246,7 @@ fn db_height(ctx: &Ctx<'_>, sym: &str) -> Option<Height> {
         // the per-row depth query is the U031 lint's hot loop: with the
         // pool on it reads cached node metadata instead of re-walking
         let d = match row.as_tuple() {
-            Some(items) => items
-                .iter()
-                .map(intern::fast_set_depth)
-                .max()
-                .unwrap_or(0),
+            Some(items) => items.iter().map(intern::fast_set_depth).max().unwrap_or(0),
             None => intern::fast_set_depth(row),
         };
         out = out.join(Height::AtMost(d.min(u32::MAX as usize) as u32));
