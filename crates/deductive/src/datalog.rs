@@ -599,7 +599,7 @@ impl Engine for Dl {
         let head_rel = state.get_ref(plan.head_pred());
         let pooled = intern::enabled();
         for f in &frames {
-            let id = if pooled { plan.head_id(f) } else { None };
+            let id = if pooled { plan.head_id(f).ok() } else { None };
             if let (Some(id), Some(rel)) = (id, head_rel) {
                 if rel.contains_ref(id) == Some(true) {
                     continue;

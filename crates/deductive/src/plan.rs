@@ -13,7 +13,9 @@
 //! earlier literals bind. DATALOG¬ ([`DlPlan`], here), COL (`col::eval`)
 //! and the maintenance engine (`uset-ivm`) all run these plans. The
 //! maintenance engine reads relations through an [`Overlay`], which can
-//! present a relation as it was before a batch without copying it.
+//! present a relation as it was before a batch without copying it, and
+//! probes the [`IdIndex`] it keeps over its state: rows matched there
+//! bind slots by pool id.
 
 use crate::datalog::{render_fact, DlAtom, DlError, DlRule, DlTerm};
 use std::borrow::Cow;
@@ -21,16 +23,18 @@ use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
+use std::sync::OnceLock;
 use uset_object::index::nth_column;
 use uset_object::intern::FxBuildHasher;
 use uset_object::{intern, ColumnIndex, EvalStats, Instance, ObjRef, Pool, Value};
 
 /// A bound value: borrowed from the row it matched (or owned, when a
 /// literal computed it), plus its pool id, interned on first use and
-/// shared by every frame holding this `Rc`.
+/// shared by every frame holding this `Rc`. A slot bound from an indexed
+/// row holds only the id; its value is built from the pool on first use.
 #[derive(Debug)]
 pub struct Bound<'a> {
-    v: Cow<'a, Value>,
+    v: OnceCell<Cow<'a, Value>>,
     id: OnceCell<ObjRef>,
 }
 
@@ -38,7 +42,7 @@ impl<'a> Bound<'a> {
     /// A value borrowed from a relation row.
     pub fn borrowed(v: &'a Value) -> Rc<Bound<'a>> {
         Rc::new(Bound {
-            v: Cow::Borrowed(v),
+            v: OnceCell::from(Cow::Borrowed(v)),
             id: OnceCell::new(),
         })
     }
@@ -46,28 +50,39 @@ impl<'a> Bound<'a> {
     /// A value the firing computed.
     pub fn owned(v: Value) -> Rc<Bound<'a>> {
         Rc::new(Bound {
-            v: Cow::Owned(v),
+            v: OnceCell::from(Cow::Owned(v)),
             id: OnceCell::new(),
+        })
+    }
+
+    /// The object a pool id names, by id alone.
+    pub fn by_id(id: ObjRef) -> Rc<Bound<'a>> {
+        Rc::new(Bound {
+            v: OnceCell::new(),
+            id: OnceCell::from(id),
         })
     }
 
     /// The value.
     pub fn value(&self) -> &Value {
-        &self.v
+        self.v.get_or_init(|| {
+            let id = *self.id.get().expect("a bound slot has a value or an id");
+            Cow::Owned(Pool::global().resolve(id))
+        })
     }
 
     /// The value, when it is borrowed for the whole firing rather than
     /// owned by this `Bound`.
     pub fn kept(&self) -> Option<&'a Value> {
-        match self.v {
-            Cow::Borrowed(v) => Some(v),
-            Cow::Owned(_) => None,
+        match self.v.get() {
+            Some(Cow::Borrowed(v)) => Some(v),
+            _ => None,
         }
     }
 
     /// The value's canonical pool id.
     pub fn obj_ref(&self) -> ObjRef {
-        *self.id.get_or_init(|| Pool::global().intern(&self.v))
+        *self.id.get_or_init(|| Pool::global().intern(self.value()))
     }
 }
 
@@ -118,21 +133,93 @@ impl<'a> DeltaJoin<'a> {
     }
 }
 
+/// Id buckets over one relation, kept current by a reader that owns the
+/// relation across mutations (the maintenance engine's session index):
+/// for each column, item id → the ids of the rows holding that item
+/// there. Buckets hold row ids, never rows; a probe reads each row's
+/// items from the pool. Rows that are not tuples are left out, since no
+/// literal matches them.
+#[derive(Debug, Default)]
+pub struct IdIndex {
+    cols: Vec<HashMap<ObjRef, Vec<ObjRef>, FxBuildHasher>>,
+}
+
+impl IdIndex {
+    /// Index every row of `rel`, interning each once.
+    pub fn build(rel: &Instance) -> IdIndex {
+        let mut idx = IdIndex::default();
+        for row in rel.iter() {
+            idx.insert(Pool::global().intern_once(row));
+        }
+        idx
+    }
+
+    /// Add the row with pool id `row`; the caller adds each row once.
+    pub fn insert(&mut self, row: ObjRef) {
+        let Some(items) = Pool::global().tuple_items(row) else {
+            return;
+        };
+        if self.cols.len() < items.len() {
+            self.cols.resize_with(items.len(), HashMap::default);
+        }
+        for (col, &item) in self.cols.iter_mut().zip(items.iter()) {
+            col.entry(item).or_default().push(row);
+        }
+    }
+
+    /// Drop the row with pool id `row`.
+    pub fn remove(&mut self, row: ObjRef) {
+        let Some(items) = Pool::global().tuple_items(row) else {
+            return;
+        };
+        for (col, &item) in self.cols.iter_mut().zip(items.iter()) {
+            let Some(bucket) = col.get_mut(&item) else {
+                continue;
+            };
+            if let Some(at) = bucket.iter().position(|&r| r == row) {
+                bucket.swap_remove(at);
+            }
+            if bucket.is_empty() {
+                col.remove(&item);
+            }
+        }
+    }
+
+    /// The rows holding `item` in column `col`.
+    pub fn probe(&self, col: usize, item: ObjRef) -> &[ObjRef] {
+        self.cols
+            .get(col)
+            .and_then(|c| c.get(&item))
+            .map_or(&[], Vec::as_slice)
+    }
+}
+
 /// A relation as a plain scan reads it: `base` itself, or `base` with a
 /// batch's `added` rows hidden and its `removed` rows shown again — the
 /// pre-batch value `base − added + removed`, read without materializing
 /// it. Scans keep canonical order, exactly as the materialized instance
-/// would iterate.
+/// would iterate. A plain overlay may carry an [`IdIndex`] of `base`,
+/// which a join probes when one of the literal's columns is bound.
 #[derive(Clone, Copy)]
 pub struct Overlay<'a> {
     base: &'a Instance,
     undo: Option<(&'a BTreeSet<Value>, &'a BTreeSet<Value>)>,
+    index: Option<&'a IdIndex>,
 }
 
 impl<'a> Overlay<'a> {
     /// `base` as it is.
     pub fn plain(base: &'a Instance) -> Overlay<'a> {
-        Overlay { base, undo: None }
+        Overlay::indexed(base, None)
+    }
+
+    /// `base` as it is, with `index` describing exactly its rows.
+    pub fn indexed(base: &'a Instance, index: Option<&'a IdIndex>) -> Overlay<'a> {
+        Overlay {
+            base,
+            undo: None,
+            index,
+        }
     }
 
     /// `base` with the rows in `added` hidden and those in `removed`
@@ -145,6 +232,7 @@ impl<'a> Overlay<'a> {
         Overlay {
             base,
             undo: Some((added, removed)),
+            index: None,
         }
     }
 
@@ -212,11 +300,17 @@ fn undo_rows<'a>(
     })
 }
 
-/// A compiled DATALOG¬ argument.
+/// A compiled DATALOG¬ argument. A constant carries its pool id,
+/// interned on first use.
 #[derive(Clone, Debug)]
 enum Arg {
     Slot(usize),
-    Const(Value),
+    Const(Value, OnceLock<ObjRef>),
+}
+
+/// The pool id of constant `c`, cached in `id`.
+fn const_id(c: &Value, id: &OnceLock<ObjRef>) -> ObjRef {
+    *id.get_or_init(|| Pool::global().intern(c))
 }
 
 /// A compiled DATALOG¬ body literal.
@@ -244,9 +338,10 @@ pub enum Read<'x, 'a> {
     /// `index` (one `index_probes` each), or scans and counts a
     /// `scan_fallbacks` when no index is at hand.
     Settled(&'a Instance, Option<&'a ColumnIndex>),
-    /// A plain scan that counts nothing; a positive step whose arguments
-    /// are all ground becomes one membership test instead (also counting
-    /// nothing).
+    /// A plain scan that counts nothing. A positive step whose arguments
+    /// are all ground becomes one membership test instead, and one with a
+    /// column bound under the frame probes the overlay's [`IdIndex`] on
+    /// it, when the overlay has one (neither counts anything).
     Scan(Overlay<'a>),
     /// The unit's delta, through its hash (counts nothing).
     Delta(&'x DeltaJoin<'a>),
@@ -270,12 +365,12 @@ impl DlStep {
             .args
             .iter()
             .map(|t| match t {
-                DlTerm::Const(c) => Arg::Const(c.clone()),
+                DlTerm::Const(c) => Arg::Const(c.clone(), OnceLock::new()),
                 DlTerm::Var(v) => Arg::Slot(slot_of(names, v)),
             })
             .collect();
         let probe = args.iter().position(|a| match a {
-            Arg::Const(_) => true,
+            Arg::Const(..) => true,
             Arg::Slot(s) => bound.get(*s).copied().unwrap_or(false),
         });
         let repeat = (0..args.len())
@@ -283,7 +378,7 @@ impl DlStep {
                 Arg::Slot(s) => args[..k]
                     .iter()
                     .position(|a| matches!(a, Arg::Slot(t) if t == s)),
-                Arg::Const(_) => None,
+                Arg::Const(..) => None,
             })
             .collect();
         DlStep {
@@ -329,12 +424,13 @@ impl DlPlan {
         vec![None; self.names.len()]
     }
 
-    /// Unify the head with a stored fact row: the binding of the head's
-    /// variables when they match. The maintenance engine seeds a body
-    /// evaluation with it to ask whether a deleted fact is still derived.
-    pub fn seed<'a>(&self, row: &'a Value) -> Option<Frame<'a>> {
+    /// Unify the head with a stored fact, given by its pool id: the
+    /// binding of the head's variables, by id, when they match. The
+    /// maintenance engine seeds a body evaluation with it to ask whether
+    /// a deleted fact is still derived.
+    pub fn seed<'a>(&self, row: ObjRef) -> Option<Frame<'a>> {
         let mut out = Vec::new();
-        extend_row(&self.head, &self.frame(), row, &mut out);
+        extend_id(&self.head, &self.frame(), row, &mut out);
         out.pop()
     }
 
@@ -386,11 +482,18 @@ impl DlPlan {
                         out.push(f.clone());
                     }
                 }
-                (Read::Scan(rel), _) => {
-                    for row in rel.iter() {
-                        extend_row(step, f, row, &mut out);
+                (Read::Scan(rel), _) => match rel.index.zip(self.bound_column(step, f)) {
+                    Some((idx, (col, item))) => {
+                        for &row in idx.probe(col, item) {
+                            extend_id(step, f, row, &mut out);
+                        }
                     }
-                }
+                    None => {
+                        for row in rel.iter() {
+                            extend_row(step, f, row, &mut out);
+                        }
+                    }
+                },
                 (Read::Settled(rel, _), _) => {
                     for row in rel.iter() {
                         extend_row(step, f, row, &mut out);
@@ -401,10 +504,19 @@ impl DlPlan {
         Ok(out)
     }
 
+    /// The first column of `step` that is bound under `f`, with the pool
+    /// id it is bound to.
+    fn bound_column(&self, step: &DlStep, f: &Frame<'_>) -> Option<(usize, ObjRef)> {
+        step.args.iter().enumerate().find_map(|(col, a)| match a {
+            Arg::Const(c, id) => Some((col, const_id(c, id))),
+            Arg::Slot(s) => f[*s].as_ref().map(|b| (col, b.obj_ref())),
+        })
+    }
+
     /// Whether every argument of `step` is ground under `f`.
     fn is_ground(&self, step: &DlStep, f: &Frame<'_>) -> bool {
         step.args.iter().all(|a| match a {
-            Arg::Const(_) => true,
+            Arg::Const(..) => true,
             Arg::Slot(s) => f[*s].is_some(),
         })
     }
@@ -430,7 +542,7 @@ impl DlPlan {
     /// The value an argument is bound to, if any.
     fn ground_ref<'f>(&'f self, a: &'f Arg, f: &'f Frame<'_>) -> Option<&'f Value> {
         match a {
-            Arg::Const(c) => Some(c),
+            Arg::Const(c, _) => Some(c),
             Arg::Slot(s) => f[*s].as_ref().map(|b| b.value()),
         }
     }
@@ -446,7 +558,7 @@ impl DlPlan {
     fn ids(&self, args: &[Arg], f: &Frame<'_>, pred: &str) -> Result<Vec<ObjRef>, DlError> {
         args.iter()
             .map(|a| match a {
-                Arg::Const(c) => Ok(Pool::global().intern(c)),
+                Arg::Const(c, id) => Ok(const_id(c, id)),
                 Arg::Slot(s) => f[*s]
                     .as_ref()
                     .map(|b| b.obj_ref())
@@ -460,7 +572,7 @@ impl DlPlan {
         let row = args
             .iter()
             .map(|a| match a {
-                Arg::Const(c) => Ok(c.clone()),
+                Arg::Const(c, _) => Ok(c.clone()),
                 Arg::Slot(s) => f[*s]
                     .as_ref()
                     .map(|b| b.value().clone())
@@ -482,10 +594,10 @@ impl DlPlan {
     }
 
     /// The head row's pool id, built from the slots' cached ids without
-    /// materializing the row; `None` if a head variable is unbound.
-    pub fn head_id(&self, f: &Frame<'_>) -> Option<ObjRef> {
-        let ids = self.ids(&self.head.args, f, &self.head.pred).ok()?;
-        Some(Pool::global().tuple_of(&ids))
+    /// materializing the row.
+    pub fn head_id(&self, f: &Frame<'_>) -> Result<ObjRef, DlError> {
+        let ids = self.ids(&self.head.args, f, &self.head.pred)?;
+        Ok(Pool::global().tuple_of(&ids))
     }
 
     /// The instantiated positive body facts of one firing — the parents
@@ -508,7 +620,7 @@ fn extend_row<'a>(step: &DlStep, f: &Frame<'a>, row: &'a Value, out: &mut Vec<Fr
     }
     for (k, (a, v)) in step.args.iter().zip(items).enumerate() {
         let ok = match a {
-            Arg::Const(c) => c == v,
+            Arg::Const(c, _) => c == v,
             Arg::Slot(s) => match (&f[*s], step.repeat[k]) {
                 (Some(b), _) => b.value() == v,
                 (None, Some(j)) => &items[j] == v,
@@ -524,6 +636,39 @@ fn extend_row<'a>(step: &DlStep, f: &Frame<'a>, row: &'a Value, out: &mut Vec<Fr
         if let Arg::Slot(s) = a {
             if next[*s].is_none() {
                 next[*s] = Some(Bound::borrowed(v));
+            }
+        }
+    }
+    out.push(next);
+}
+
+/// [`extend_row`] for the row a pool id names, matched by id: constants
+/// and bound slots compare ids, and new bindings hold ids only.
+fn extend_id<'a>(step: &DlStep, f: &Frame<'a>, row: ObjRef, out: &mut Vec<Frame<'a>>) {
+    let Some(items) = Pool::global().tuple_items(row) else {
+        return;
+    };
+    if items.len() != step.args.len() {
+        return;
+    }
+    for (k, (a, &item)) in step.args.iter().zip(items.iter()).enumerate() {
+        let ok = match a {
+            Arg::Const(c, id) => const_id(c, id) == item,
+            Arg::Slot(s) => match (&f[*s], step.repeat[k]) {
+                (Some(b), _) => b.obj_ref() == item,
+                (None, Some(j)) => items[j] == item,
+                (None, None) => true,
+            },
+        };
+        if !ok {
+            return;
+        }
+    }
+    let mut next = f.clone();
+    for (a, &item) in step.args.iter().zip(items.iter()) {
+        if let Arg::Slot(s) = a {
+            if next[*s].is_none() {
+                next[*s] = Some(Bound::by_id(item));
             }
         }
     }

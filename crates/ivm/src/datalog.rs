@@ -14,20 +14,26 @@
 //! is journaled in an undo log; a budget trip or evaluation error
 //! replays the log backwards and returns [`IvmError::Exhausted`] with
 //! the session still holding the pre-batch state.
+//!
+//! Facts move through maintenance as pool ids: firings derive head ids,
+//! the DRed sets and membership tests are keyed by id, and a row's tree
+//! is built once, when it enters or leaves the state. State mutations,
+//! rollback included, keep the session's id index current ([`Store`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use uset_deductive::plan::DlPlan;
 use uset_deductive::{DatalogProgram, DlError};
 use uset_guard::ckpt::codec::{Dec, Enc};
 use uset_guard::trace::TraceEvent;
 use uset_guard::{ckpt, EngineId, Governor, Guard, TraceHandle, Trip};
-use uset_object::{Database, EvalStats, Instance, Value};
+use uset_object::intern::FxBuildHasher;
+use uset_object::{Database, EvalStats, Instance, ObjRef, Pool, Value};
 use uset_opt::{maintenance_plan, MaintPlan, MaintStratum, StratumPlan};
 use uset_par::par_map;
 
 use crate::delta::{DeltaBatch, DeltaLog, NormalBatch};
-use crate::fire::{delta_heads, View};
+use crate::fire::{delta_heads, holds_id, Delta, Store, View};
 use crate::{ApplyReport, IvmError, IvmMode, Semantics};
 
 /// A long-lived materialized DATALOG¬ fixpoint that absorbs EDB delta
@@ -41,8 +47,9 @@ pub struct DatalogSession {
     governor: Governor,
     /// The extensional database as of the last applied batch.
     edb: Database,
-    /// The materialized state (EDB relations + derived IDB relations).
-    state: Database,
+    /// The materialized state (EDB relations + derived IDB relations),
+    /// with its id index.
+    state: Store,
     /// Per-fact derivation counts for counting strata. Counts exclude
     /// EDB-seeded occurrences: a seeded fact is an axiom and survives a
     /// count of zero.
@@ -73,20 +80,21 @@ impl From<DlError> for MaintErr {
     }
 }
 
-/// One reversible mutation, replayed backwards on rollback. Insert ops
-/// carry whether the relation already existed (possibly empty) before
-/// the insert: `remove_row` prunes a relation whose last row goes, and
-/// a rollback must restore *explicitly-present-but-empty* relations —
-/// `Database::PartialEq` distinguishes them from absent ones.
+/// One reversible mutation, replayed backwards on rollback. Row ops
+/// carry the row's pool id. Insert ops carry whether the relation
+/// already existed (possibly empty) before the insert: `remove_row`
+/// prunes a relation whose last row goes, and a rollback must restore
+/// *explicitly-present-but-empty* relations — `Database::PartialEq`
+/// distinguishes them from absent ones.
 enum UndoOp {
     /// A row was inserted into the state.
-    StateAdd(String, Value, bool),
+    StateAdd(String, Value, ObjRef, bool),
     /// A row was removed from the state.
-    StateDel(String, Value),
+    StateDel(String, Value, ObjRef),
     /// A row was inserted into the EDB.
-    EdbAdd(String, Value, bool),
+    EdbAdd(String, Value, ObjRef, bool),
     /// A row was removed from the EDB.
-    EdbDel(String, Value),
+    EdbDel(String, Value, ObjRef),
     /// A support count changed; the payload is the *old* count (0 means
     /// the entry was absent).
     Count(String, Value, i64),
@@ -95,28 +103,28 @@ enum UndoOp {
 fn rollback(
     undo: Vec<UndoOp>,
     edb: &mut Database,
-    state: &mut Database,
+    state: &mut Store,
     counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
 ) {
     for op in undo.into_iter().rev() {
         match op {
-            UndoOp::StateAdd(p, r, had_rel) => {
-                state.remove_row(&p, &r);
-                if had_rel && !state.contains_relation(&p) {
-                    state.set(p, Instance::default());
+            UndoOp::StateAdd(p, r, id, had_rel) => {
+                state.remove(&p, &r, id);
+                if had_rel {
+                    state.keep_relation(p);
                 }
             }
-            UndoOp::StateDel(p, r) => {
-                state.insert_row(&p, &r);
+            UndoOp::StateDel(p, r, id) => {
+                state.insert(&p, &r, id);
             }
-            UndoOp::EdbAdd(p, r, had_rel) => {
-                edb.remove_row(&p, &r);
+            UndoOp::EdbAdd(p, r, id, had_rel) => {
+                edb.remove_row(&p, (&r, Some(id)));
                 if had_rel && !edb.contains_relation(&p) {
                     edb.set(p, Instance::default());
                 }
             }
-            UndoOp::EdbDel(p, r) => {
-                edb.insert_row(&p, &r);
+            UndoOp::EdbDel(p, r, id) => {
+                edb.insert_row(&p, (&r, Some(id)));
             }
             UndoOp::Count(p, r, old) => {
                 let pc = counts.entry(p.clone()).or_default();
@@ -226,6 +234,12 @@ impl DatalogSession {
             (_, IvmMode::Auto) => maintenance_plan(&prog),
         };
         let plans: Vec<DlPlan> = prog.rules.iter().map(DlPlan::compile).collect();
+        // only incremental maintenance reads the index
+        let indexed: &[DlPlan] = match &plan {
+            MaintPlan::Incremental(_) => &plans,
+            MaintPlan::Recompute(_) => &[],
+        };
+        let state = Store::new(state, indexed);
         let mut counts = BTreeMap::new();
         if let MaintPlan::Incremental(strata) = &plan {
             init_counts(
@@ -264,7 +278,7 @@ impl DatalogSession {
     /// bit-identical to evaluating the program on [`Self::edb`] from
     /// scratch.
     pub fn state(&self) -> &Database {
-        &self.state
+        self.state.db()
     }
 
     /// The extensional database as of the last applied batch.
@@ -413,17 +427,20 @@ impl DatalogSession {
         stats: &mut EvalStats,
     ) -> Result<(u64, u64), IvmError> {
         let mut undo: Vec<UndoOp> = Vec::new();
+        let pool = Pool::global();
         for (rel, rows) in &norm.removed {
             for row in rows.iter() {
-                self.edb.remove_row(rel, row);
-                undo.push(UndoOp::EdbDel(rel.clone(), row.clone()));
+                let id = pool.intern(row);
+                self.edb.remove_row(rel, (row, Some(id)));
+                undo.push(UndoOp::EdbDel(rel.clone(), row.clone(), id));
             }
         }
         for (rel, rows) in &norm.added {
             for row in rows.iter() {
+                let id = pool.intern(row);
                 let had_rel = self.edb.contains_relation(rel);
-                self.edb.insert_row(rel, row);
-                undo.push(UndoOp::EdbAdd(rel.clone(), row.clone(), had_rel));
+                self.edb.insert_row(rel, (row, Some(id)));
+                undo.push(UndoOp::EdbAdd(rel.clone(), row.clone(), id, had_rel));
             }
         }
         let mut fresh = EvalStats::default();
@@ -435,8 +452,8 @@ impl DatalogSession {
             &mut fresh,
         ) {
             Ok(new_state) => {
-                let (added, removed) = db_diff(&self.state, &new_state);
-                self.state = new_state;
+                let (added, removed) = db_diff(self.state.db(), &new_state);
+                self.state.replace(new_state);
                 self.build_stats = fresh;
                 stats.absorb(&fresh);
                 Ok((
@@ -486,7 +503,7 @@ fn db_diff(old: &Database, new: &Database) -> (u64, u64) {
 fn init_counts(
     plans: &[DlPlan],
     strata: &[MaintStratum],
-    state: &Database,
+    state: &Store,
     counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
     guard: &mut Guard,
     stats: &mut EvalStats,
@@ -499,12 +516,9 @@ fn init_counts(
             guard.step()?;
             let plan = &plans[ri];
             let heads = delta_heads(plan, plan.frame(), None, View::New, View::New, state, stats)?;
-            for row in heads {
-                *counts
-                    .entry(plan.head_pred().to_owned())
-                    .or_default()
-                    .entry(row)
-                    .or_insert(0) += 1;
+            let pc = counts.entry(plan.head_pred().to_owned()).or_default();
+            for id in heads {
+                *pc.entry(Pool::global().resolve(id)).or_insert(0) += 1;
             }
         }
     }
@@ -527,34 +541,43 @@ fn run_incremental(
     strata: &[MaintStratum],
     norm: &NormalBatch,
     edb: &mut Database,
-    state: &mut Database,
+    state: &mut Store,
     counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
     guard: &mut Guard,
     stats: &mut EvalStats,
     undo: &mut Vec<UndoOp>,
     trace: &TraceHandle,
 ) -> Result<(u64, u64), MaintErr> {
-    guard.set_fact_base(total_facts(state))?;
+    guard.set_fact_base(total_facts(state.db()))?;
     let mut log = DeltaLog::default();
-    // 1. the EDB delta itself (state carries EDB relations too)
+    let pool = Pool::global();
+    // 1. the EDB delta itself (state carries EDB relations too); each
+    // row is interned once
     for (rel, rows) in &norm.removed {
         for row in rows.iter() {
-            state.remove_row(rel, row);
-            undo.push(UndoOp::StateDel(rel.clone(), row.clone()));
-            edb.remove_row(rel, row);
-            undo.push(UndoOp::EdbDel(rel.clone(), row.clone()));
+            let id = pool.intern(row);
+            state.remove(rel, row, id);
+            undo.push(UndoOp::StateDel(rel.clone(), row.clone(), id));
+            edb.remove_row(rel, (row, Some(id)));
+            undo.push(UndoOp::EdbDel(rel.clone(), row.clone(), id));
             guard.remove_fact()?;
             log.note_remove(rel, row.clone());
         }
     }
     for (rel, rows) in &norm.added {
         for row in rows.iter() {
-            let had_state_rel = state.contains_relation(rel);
-            state.insert_row(rel, row);
-            undo.push(UndoOp::StateAdd(rel.clone(), row.clone(), had_state_rel));
+            let id = pool.intern(row);
+            let had_state_rel = state.db().contains_relation(rel);
+            state.insert(rel, row, id);
+            undo.push(UndoOp::StateAdd(
+                rel.clone(),
+                row.clone(),
+                id,
+                had_state_rel,
+            ));
             let had_edb_rel = edb.contains_relation(rel);
-            edb.insert_row(rel, row);
-            undo.push(UndoOp::EdbAdd(rel.clone(), row.clone(), had_edb_rel));
+            edb.insert_row(rel, (row, Some(id)));
+            undo.push(UndoOp::EdbAdd(rel.clone(), row.clone(), id, had_edb_rel));
             guard.add_fact()?;
             log.note_add(rel, row.clone());
         }
@@ -588,7 +611,7 @@ fn run_incremental(
             }
         }
     }
-    stats.observe_facts(total_facts(state));
+    stats.observe_facts(total_facts(state.db()));
     Ok((idb_added, idb_removed))
 }
 
@@ -601,7 +624,7 @@ fn maintain_counting(
     plans: &[DlPlan],
     stratum: &MaintStratum,
     edb: &Database,
-    state: &mut Database,
+    state: &mut Store,
     counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
     log: &mut DeltaLog,
     guard: &mut Guard,
@@ -611,7 +634,7 @@ fn maintain_counting(
     if !stratum_touched(plans, stratum, log) {
         return Ok((0, 0));
     }
-    let mut signed: BTreeMap<(String, Value), i64> = BTreeMap::new();
+    let mut signed: BTreeMap<&str, HashMap<ObjRef, i64, FxBuildHasher>> = BTreeMap::new();
     for &ri in &stratum.rules {
         let plan = &plans[ri];
         for (i, lit) in plan.body.iter().enumerate() {
@@ -633,16 +656,15 @@ fn maintain_counting(
                 let heads = delta_heads(
                     plan,
                     plan.frame(),
-                    Some((i, rows)),
+                    Some((i, Delta::Set(rows))),
                     View::New,
                     View::Old(log),
                     state,
                     stats,
                 )?;
-                for row in heads {
-                    *signed
-                        .entry((plan.head_pred().to_owned(), row))
-                        .or_insert(0) += sign;
+                let by_id = signed.entry(plan.head_pred()).or_default();
+                for id in heads {
+                    *by_id.entry(id).or_insert(0) += sign;
                 }
             }
         }
@@ -650,39 +672,46 @@ fn maintain_counting(
     stats.rounds += 1;
     let mut added = 0u64;
     let mut removed = 0u64;
-    for ((pred, row), delta) in signed {
-        if delta == 0 {
-            continue;
-        }
-        let pc = counts.entry(pred.clone()).or_default();
-        let old = pc.get(&row).copied().unwrap_or(0);
-        let new = old + delta;
-        debug_assert!(new >= 0, "support count of {pred} went negative");
-        undo.push(UndoOp::Count(pred.clone(), row.clone(), old));
-        if new == 0 {
-            pc.remove(&row);
-        } else {
-            pc.insert(row.clone(), new);
-        }
-        let seeded = edb.get_ref(&pred).is_some_and(|i| i.contains(&row));
-        let was = old > 0 || seeded;
-        let now = new > 0 || seeded;
-        if was && !now {
-            state.remove_row(&pred, &row);
-            undo.push(UndoOp::StateDel(pred.clone(), row.clone()));
-            guard.remove_fact()?;
-            log.note_remove(&pred, row);
-            removed += 1;
-        } else if !was && now {
-            let had_rel = state.contains_relation(&pred);
-            state.insert_row(&pred, &row);
-            undo.push(UndoOp::StateAdd(pred.clone(), row.clone(), had_rel));
-            guard.add_fact()?;
-            log.note_add(&pred, row);
-            added += 1;
+    for (pred, by_id) in signed {
+        // the count changes apply in canonical (relation, row) order
+        let mut net: Vec<(Value, ObjRef, i64)> = by_id
+            .into_iter()
+            .filter(|&(_, d)| d != 0)
+            .map(|(id, d)| (Pool::global().resolve(id), id, d))
+            .collect();
+        net.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let seeded_rel = edb.get_ref(pred);
+        for (row, id, delta) in net {
+            let pc = counts.entry(pred.to_owned()).or_default();
+            let old = pc.get(&row).copied().unwrap_or(0);
+            let new = old + delta;
+            debug_assert!(new >= 0, "support count of {pred} went negative");
+            undo.push(UndoOp::Count(pred.to_owned(), row.clone(), old));
+            if new == 0 {
+                pc.remove(&row);
+            } else {
+                pc.insert(row.clone(), new);
+            }
+            let seeded = holds_id(seeded_rel, id);
+            let was = old > 0 || seeded;
+            let now = new > 0 || seeded;
+            if was && !now {
+                state.remove(pred, &row, id);
+                undo.push(UndoOp::StateDel(pred.to_owned(), row.clone(), id));
+                guard.remove_fact()?;
+                log.note_remove(pred, row);
+                removed += 1;
+            } else if !was && now {
+                let had_rel = state.db().contains_relation(pred);
+                state.insert(pred, &row, id);
+                undo.push(UndoOp::StateAdd(pred.to_owned(), row.clone(), id, had_rel));
+                guard.add_fact()?;
+                log.note_add(pred, row);
+                added += 1;
+            }
         }
     }
-    stats.observe_facts(total_facts(state));
+    stats.observe_facts(total_facts(state.db()));
     Ok((added, removed))
 }
 
@@ -695,38 +724,47 @@ struct DredOut {
     reinserted: u64,
 }
 
+/// A stratum's facts keyed by pool id, each with its row: the DRed
+/// over-deletion set.
+type ById = BTreeMap<String, HashMap<ObjRef, Value, FxBuildHasher>>;
+
+/// Facts derived in one DRed round, fed to the next as its delta.
+type Pending = BTreeMap<String, Vec<Value>>;
+
 fn consider_delete(
     pred: &str,
-    row: Value,
-    state: &Database,
+    id: ObjRef,
+    state: &Store,
     edb: &Database,
-    deleted: &mut BTreeMap<String, BTreeSet<Value>>,
-    pending: &mut BTreeMap<String, BTreeSet<Value>>,
+    deleted: &mut ById,
+    pending: &mut Pending,
 ) {
-    if !state.get_ref(pred).is_some_and(|i| i.contains(&row)) {
+    if !state.contains(pred, id) {
         return;
     }
     // an EDB-seeded fact is an axiom, never a deletion candidate
-    if edb.get_ref(pred).is_some_and(|i| i.contains(&row)) {
+    if holds_id(edb.get_ref(pred), id) {
         return;
     }
-    if deleted.get(pred).is_some_and(|s| s.contains(&row)) {
+    if deleted.get(pred).is_some_and(|d| d.contains_key(&id)) {
         return;
     }
-    deleted
+    let row = Pool::global().resolve(id);
+    pending
         .entry(pred.to_owned())
         .or_default()
-        .insert(row.clone());
-    pending.entry(pred.to_owned()).or_default().insert(row);
+        .push(row.clone());
+    deleted.entry(pred.to_owned()).or_default().insert(id, row);
 }
 
-/// Can this deleted fact still be derived from the current state?
+/// Can the deleted fact with pool id `row` still be derived from the
+/// current state?
 fn rederivable(
     plans: &[DlPlan],
     stratum: &MaintStratum,
     pred: &str,
-    row: &Value,
-    state: &Database,
+    row: ObjRef,
+    state: &Store,
     stats: &mut EvalStats,
 ) -> Result<bool, DlError> {
     for &ri in &stratum.rules {
@@ -761,7 +799,7 @@ fn maintain_dred(
     plans: &[DlPlan],
     stratum: &MaintStratum,
     edb: &Database,
-    state: &mut Database,
+    state: &mut Store,
     log: &mut DeltaLog,
     guard: &mut Guard,
     stats: &mut EvalStats,
@@ -773,8 +811,8 @@ fn maintain_dred(
     }
 
     // ---- phase 1: over-delete at old views -------------------------
-    let mut deleted: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-    let mut pending: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
+    let mut deleted = ById::new();
+    let mut pending = Pending::new();
     for &ri in &stratum.rules {
         let plan = &plans[ri];
         for (i, lit) in plan.body.iter().enumerate() {
@@ -792,25 +830,18 @@ fn maintain_dred(
             let heads = delta_heads(
                 plan,
                 plan.frame(),
-                Some((i, loss)),
+                Some((i, Delta::Set(loss))),
                 View::Old(log),
                 View::Old(log),
                 state,
                 stats,
             )?;
-            for row in heads {
-                consider_delete(
-                    plan.head_pred(),
-                    row,
-                    state,
-                    edb,
-                    &mut deleted,
-                    &mut pending,
-                );
+            for id in heads {
+                consider_delete(plan.head_pred(), id, state, edb, &mut deleted, &mut pending);
             }
         }
     }
-    while pending.values().any(|s| !s.is_empty()) {
+    while !pending.is_empty() {
         let cur = std::mem::take(&mut pending);
         stats.rounds += 1;
         for &ri in &stratum.rules {
@@ -822,84 +853,75 @@ fn maintain_dred(
                 let Some(rows) = cur.get(&lit.pred) else {
                     continue;
                 };
-                if rows.is_empty() {
-                    continue;
-                }
                 guard.step()?;
                 let heads = delta_heads(
                     plan,
                     plan.frame(),
-                    Some((i, rows)),
+                    Some((i, Delta::Rows(rows))),
                     View::Old(log),
                     View::Old(log),
                     state,
                     stats,
                 )?;
-                for row in heads {
-                    consider_delete(
-                        plan.head_pred(),
-                        row,
-                        state,
-                        edb,
-                        &mut deleted,
-                        &mut pending,
-                    );
+                for id in heads {
+                    consider_delete(plan.head_pred(), id, state, edb, &mut deleted, &mut pending);
                 }
             }
         }
     }
-    for (pred, rows) in &deleted {
-        for row in rows {
-            state.remove_row(pred, row);
-            undo.push(UndoOp::StateDel(pred.clone(), row.clone()));
-            guard.remove_fact()?;
-            out.overdeleted += 1;
-        }
+    // every later state mutation runs in canonical (relation, row) order
+    let gone: Vec<(&str, &Value, ObjRef)> = deleted
+        .iter()
+        .flat_map(|(pred, rows)| {
+            let mut rows: Vec<_> = rows
+                .iter()
+                .map(|(&id, row)| (pred.as_str(), row, id))
+                .collect();
+            rows.sort_unstable_by(|a, b| a.1.cmp(b.1));
+            rows
+        })
+        .collect();
+    for &(pred, row, id) in &gone {
+        state.remove(pred, row, id);
+        undo.push(UndoOp::StateDel(pred.to_owned(), row.clone(), id));
+        guard.remove_fact()?;
+        out.overdeleted += 1;
     }
 
     // ---- phase 2: rederive what still has an independent proof -----
-    let mut remaining: Vec<(String, Value)> = deleted
-        .iter()
-        .flat_map(|(p, rs)| rs.iter().map(move |r| (p.clone(), r.clone())))
-        .collect();
+    let mut remaining = gone.clone();
     let workers = guard.workers();
     while !remaining.is_empty() {
         stats.rounds += 1;
-        let frozen: &Database = state;
+        let frozen: &Store = state;
+        let check = |&(pred, _, id): &(&str, &Value, ObjRef)| {
+            let mut s = EvalStats::default();
+            let ok = rederivable(plans, stratum, pred, id, frozen, &mut s);
+            (ok, s)
+        };
         let results: Vec<(Result<bool, DlError>, EvalStats)> = if workers > 1 && remaining.len() > 1
         {
-            par_map(workers, &remaining, |_, (pred, row)| {
-                let mut s = EvalStats::default();
-                let ok = rederivable(plans, stratum, pred, row, frozen, &mut s);
-                (ok, s)
-            })
+            par_map(workers, &remaining, |_, fact| check(fact))
         } else {
-            remaining
-                .iter()
-                .map(|(pred, row)| {
-                    let mut s = EvalStats::default();
-                    let ok = rederivable(plans, stratum, pred, row, frozen, &mut s);
-                    (ok, s)
-                })
-                .collect()
+            remaining.iter().map(check).collect()
         };
         let mut alive = Vec::new();
         let mut progressed = false;
-        for ((pred, row), (ok, s)) in remaining.into_iter().zip(results) {
+        for ((pred, row, id), (ok, s)) in remaining.into_iter().zip(results) {
             stats.absorb(&s);
             guard.step()?;
             match ok {
                 Err(e) => return Err(MaintErr::Dl(e)),
                 Ok(true) => {
-                    let had_rel = state.contains_relation(&pred);
-                    state.insert_row(&pred, &row);
-                    undo.push(UndoOp::StateAdd(pred.clone(), row.clone(), had_rel));
+                    let had_rel = state.db().contains_relation(pred);
+                    state.insert(pred, row, id);
+                    undo.push(UndoOp::StateAdd(pred.to_owned(), row.clone(), id, had_rel));
                     guard.add_fact()?;
                     out.rederived += 1;
                     out.reinserted += 1;
                     progressed = true;
                 }
-                Ok(false) => alive.push((pred, row)),
+                Ok(false) => alive.push((pred, row, id)),
             }
         }
         remaining = alive;
@@ -909,8 +931,8 @@ fn maintain_dred(
     }
 
     // ---- phase 3: insertions, semi-naive within the stratum --------
-    let mut pending: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-    let mut inserted_rows: Vec<(String, Value)> = Vec::new();
+    let mut pending = Pending::new();
+    let mut inserted: Vec<(String, Value, ObjRef)> = Vec::new();
     for &ri in &stratum.rules {
         let plan = &plans[ri];
         for (i, lit) in plan.body.iter().enumerate() {
@@ -928,26 +950,26 @@ fn maintain_dred(
             let heads = delta_heads(
                 plan,
                 plan.frame(),
-                Some((i, gain)),
+                Some((i, Delta::Set(gain))),
                 View::New,
                 View::New,
                 state,
                 stats,
             )?;
-            for row in heads {
+            for id in heads {
                 insert_new(
                     plan.head_pred(),
-                    row,
+                    id,
                     state,
                     undo,
                     guard,
                     &mut pending,
-                    &mut inserted_rows,
+                    &mut inserted,
                 )?;
             }
         }
     }
-    while pending.values().any(|s| !s.is_empty()) {
+    while !pending.is_empty() {
         let cur = std::mem::take(&mut pending);
         stats.rounds += 1;
         for &ri in &stratum.rules {
@@ -959,28 +981,25 @@ fn maintain_dred(
                 let Some(rows) = cur.get(&lit.pred) else {
                     continue;
                 };
-                if rows.is_empty() {
-                    continue;
-                }
                 guard.step()?;
                 let heads = delta_heads(
                     plan,
                     plan.frame(),
-                    Some((i, rows)),
+                    Some((i, Delta::Rows(rows))),
                     View::New,
                     View::New,
                     state,
                     stats,
                 )?;
-                for row in heads {
+                for id in heads {
                     insert_new(
                         plan.head_pred(),
-                        row,
+                        id,
                         state,
                         undo,
                         guard,
                         &mut pending,
-                        &mut inserted_rows,
+                        &mut inserted,
                     )?;
                 }
             }
@@ -988,47 +1007,46 @@ fn maintain_dred(
     }
 
     // ---- net bookkeeping for downstream strata ---------------------
-    for (pred, rows) in &deleted {
-        for row in rows {
-            if !state.get_ref(pred).is_some_and(|i| i.contains(row)) {
-                log.note_remove(pred, row.clone());
-                out.removed += 1;
-            }
+    for &(pred, row, id) in &gone {
+        if !state.contains(pred, id) {
+            log.note_remove(pred, row.clone());
+            out.removed += 1;
         }
     }
-    for (pred, row) in &inserted_rows {
-        if deleted.get(pred).is_some_and(|s| s.contains(row)) {
+    for (pred, row, id) in inserted {
+        if deleted.get(&pred).is_some_and(|d| d.contains_key(&id)) {
             out.reinserted += 1; // a phase-3 restoration of an over-deleted fact
         } else {
-            log.note_add(pred, row.clone());
+            log.note_add(&pred, row);
             out.added += 1;
         }
     }
-    stats.observe_facts(total_facts(state));
+    stats.observe_facts(total_facts(state.db()));
     Ok(out)
 }
 
 fn insert_new(
     pred: &str,
-    row: Value,
-    state: &mut Database,
+    id: ObjRef,
+    state: &mut Store,
     undo: &mut Vec<UndoOp>,
     guard: &mut Guard,
-    pending: &mut BTreeMap<String, BTreeSet<Value>>,
-    inserted: &mut Vec<(String, Value)>,
+    pending: &mut Pending,
+    inserted: &mut Vec<(String, Value, ObjRef)>,
 ) -> Result<(), MaintErr> {
-    if state.get_ref(pred).is_some_and(|i| i.contains(&row)) {
+    if state.contains(pred, id) {
         return Ok(());
     }
-    let had_rel = state.contains_relation(pred);
-    state.insert_row(pred, &row);
-    undo.push(UndoOp::StateAdd(pred.to_owned(), row.clone(), had_rel));
+    let row = Pool::global().resolve(id);
+    let had_rel = state.db().contains_relation(pred);
+    state.insert(pred, &row, id);
+    undo.push(UndoOp::StateAdd(pred.to_owned(), row.clone(), id, had_rel));
     guard.add_fact()?;
     pending
         .entry(pred.to_owned())
         .or_default()
-        .insert(row.clone());
-    inserted.push((pred.to_owned(), row));
+        .push(row.clone());
+    inserted.push((pred.to_owned(), row, id));
     Ok(())
 }
 

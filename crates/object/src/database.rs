@@ -147,8 +147,9 @@ impl std::hash::Hash for Instance {
     }
 }
 
-/// A row handed to [`Instance::insert_ref`] or [`Database::insert_row`]:
-/// the value, and its canonical pool id when the caller already built it
+/// A row handed to [`Instance::insert_ref`], [`Instance::remove`],
+/// [`Database::insert_row`] or [`Database::remove_row`]: the value, and
+/// its canonical pool id when the caller already built it
 /// (it must be `Pool::global().intern(value)`).
 #[derive(Clone, Copy, Debug)]
 pub struct RowRef<'r> {
@@ -322,10 +323,13 @@ impl Instance {
         true
     }
 
-    /// Remove an object; returns true if it was present.
-    pub fn remove(&mut self, v: &Value) -> bool {
+    /// Remove an object; returns true if it was present. A caller that
+    /// already holds the row's pool id passes it along ([`RowRef`]), so
+    /// the id sidecar need not intern the row again.
+    pub fn remove<'r>(&mut self, row: impl Into<RowRef<'r>>) -> bool {
+        let RowRef { value: v, id } = row.into();
         if self.live_sidecar() {
-            let id = Pool::global().intern(v);
+            let id = id.unwrap_or_else(|| Pool::global().intern(v));
             let rs = self.refs.get_mut().expect("live sidecar");
             if !rs.ids.contains(&id) {
                 debug_assert!(!self.values.contains(v));
@@ -696,7 +700,7 @@ impl Database {
     /// then loses rows compares equal to one that never saw them
     /// (`Database::PartialEq` distinguishes present-but-empty from
     /// absent).
-    pub fn remove_row(&mut self, name: &str, row: &Value) -> bool {
+    pub fn remove_row<'r>(&mut self, name: &str, row: impl Into<RowRef<'r>>) -> bool {
         let Some(rel) = self.relations.get_mut(name) else {
             return false;
         };

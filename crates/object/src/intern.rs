@@ -213,6 +213,19 @@ struct Rec {
     meta: Meta,
 }
 
+/// The child ids of one interned tuple ([`Pool::tuple_items`]).
+pub struct TupleItems(Arc<Rec>);
+
+impl std::ops::Deref for TupleItems {
+    type Target = [ObjRef];
+    fn deref(&self) -> &[ObjRef] {
+        match &self.0.node {
+            Node::Tuple(ch) => ch,
+            _ => unreachable!("TupleItems wraps tuple nodes only"),
+        }
+    }
+}
+
 #[derive(Default)]
 struct ShardInner {
     /// Structural hash → candidate indices (collisions are rare; each
@@ -526,6 +539,21 @@ impl Pool {
             Node::Tuple(children)
         };
         (self.intern_node(node, meta), meta)
+    }
+
+    /// Intern a value without recording it in this thread's memo: for a
+    /// caller that interns each value once and keeps the id, so the memo
+    /// would only hold a clone nobody probes again.
+    pub fn intern_once(&self, v: &Value) -> ObjRef {
+        self.intern_with_meta(v).0
+    }
+
+    /// The child ids of a tuple node, in order; `None` for an atom or a
+    /// set. The maintenance engine matches indexed rows against a rule
+    /// literal through these, without rebuilding the row.
+    pub fn tuple_items(&self, r: ObjRef) -> Option<TupleItems> {
+        let rec = self.rec(r);
+        matches!(rec.node, Node::Tuple(_)).then_some(TupleItems(rec))
     }
 
     /// Intern the tuple `[args...]` without materializing a `Value::Tuple`
