@@ -150,7 +150,7 @@ pub(crate) enum Delta<'a> {
 }
 
 impl<'a> Delta<'a> {
-    fn join(self, key: Option<usize>) -> DeltaJoin<'a> {
+    fn join(self, key: Option<usize>) -> DeltaJoin<&'a Value> {
         match self {
             Delta::Set(rows) => DeltaJoin::new(rows, key),
             Delta::Rows(rows) => DeltaJoin::new(rows, key),
