@@ -27,9 +27,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use crate::{probe_depth, rel_len};
 use uset_analysis::absint::{analyze_col, Analysis};
 use uset_deductive::{ColHead, ColLiteral, ColProgram, ColRule, ColTerm};
-use uset_object::{ColumnIndex, Database};
+use uset_object::Database;
 
 /// Variables a positive match of `pat` *binds* (everything except the
 /// compared `SetLit`/`Apply` sub-terms, which must already be ground).
@@ -159,13 +160,12 @@ fn generator_cost(
             });
             let card = if let Some(db) = db {
                 if !defined.contains(name) {
-                    let inst = db.get(name);
                     if probe && args.len() > 1 {
-                        *depth_cache.entry((name.clone(), 0)).or_insert_with(|| {
-                            ColumnIndex::build_on(&inst, 0).avg_bucket_depth() as u64
-                        })
+                        *depth_cache
+                            .entry((name.clone(), 0))
+                            .or_insert_with(|| probe_depth(db, name, 0))
                     } else {
-                        inst.len() as u64
+                        rel_len(db, name)
                     }
                 } else {
                     analysis

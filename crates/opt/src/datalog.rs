@@ -30,9 +30,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use crate::{probe_depth, rel_len};
 use uset_analysis::absint::{analyze_datalog, Analysis};
 use uset_deductive::{DatalogProgram, DlAtom, DlLiteral, DlRule, DlTerm};
-use uset_object::{ColumnIndex, Database};
+use uset_object::Database;
 
 /// Variables of an atom, in argument order (duplicates kept).
 fn atom_vars(atom: &DlAtom) -> impl Iterator<Item = &str> {
@@ -81,16 +82,13 @@ impl Estimator<'_> {
     fn cardinality(&mut self, atom: &DlAtom, bound: &BTreeSet<String>) -> u64 {
         if let Some(db) = self.db {
             if !self.idb.contains(&atom.pred) {
-                let inst = db.get(&atom.pred);
-                if let Some(col) = Self::probe_col(atom, bound) {
-                    return *self
+                return match Self::probe_col(atom, bound) {
+                    Some(col) => *self
                         .depth_cache
                         .entry((atom.pred.clone(), col))
-                        .or_insert_with(|| {
-                            ColumnIndex::build_on(&inst, col).avg_bucket_depth() as u64
-                        });
-                }
-                return inst.len() as u64;
+                        .or_insert_with(|| probe_depth(db, &atom.pred, col)),
+                    None => rel_len(db, &atom.pred),
+                };
             }
         }
         self.analysis

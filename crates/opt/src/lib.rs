@@ -43,12 +43,41 @@ pub use datalog::optimize_datalog;
 pub use magic::{query_datalog, Goal};
 pub use plan::{maintenance_plan, MaintPlan, MaintStratum, StratumPlan};
 
+use std::collections::HashSet;
 use uset_deductive::col::eval as col_eval;
 use uset_deductive::{
     ColConfig, ColEvalError, ColProgram, ColState, ColStrategy, DatalogProgram, DlError,
 };
 use uset_guard::Governor;
-use uset_object::{Database, EvalStats};
+use uset_object::index::nth_column;
+use uset_object::intern::FxBuildHasher;
+use uset_object::{Database, EvalStats, Instance, Value};
+
+/// Rows of relation `rel` in `db`; 0 when it is absent.
+pub(crate) fn rel_len(db: &Database, rel: &str) -> u64 {
+    db.get_ref(rel).map_or(0, Instance::len) as u64
+}
+
+/// The rows a ground probe on column `col` of relation `rel` is
+/// expected to return: the rows that have the column over its distinct
+/// values, rounded up, or 0 when no row has it. The relation is read in
+/// place; nothing is copied.
+pub(crate) fn probe_depth(db: &Database, rel: &str, col: usize) -> u64 {
+    let Some(inst) = db.get_ref(rel) else {
+        return 0;
+    };
+    let mut keys: HashSet<&Value, FxBuildHasher> = HashSet::default();
+    let mut rows = 0usize;
+    for key in inst.iter().filter_map(|row| nth_column(row, col)) {
+        rows += 1;
+        keys.insert(key);
+    }
+    if keys.is_empty() {
+        0
+    } else {
+        rows.div_ceil(keys.len()) as u64
+    }
+}
 
 /// Stratified DATALOG¬ evaluation; optimizes first when the governor's
 /// [`uset_guard::OptConfig`] resolves to on.
@@ -170,6 +199,33 @@ mod tests {
         let r_on = eval_stratified_seminaive(&prog, &db, &on, &mut s_on).unwrap();
         assert_eq!(r_off, r_on);
         assert!(s_on.tuples_derived <= s_off.tuples_derived);
+    }
+
+    /// The estimate is `ceil(rows with the column / distinct values in
+    /// it)`: short tuples count only for the columns they have, and rows
+    /// that are not tuples never count.
+    #[test]
+    fn probe_depth_is_rows_over_distinct_keys() {
+        use uset_object::tuple;
+        let mut db = Database::empty();
+        let mut rel = Instance::from_rows([
+            [atom(1), atom(10)],
+            [atom(1), atom(11)],
+            [atom(1), atom(12)],
+            [atom(2), atom(10)],
+        ]);
+        rel.insert(tuple([atom(9)]));
+        rel.insert(atom(5));
+        db.set("R", rel);
+        // column 0: 5 rows have it, keys {1, 2, 9}
+        assert_eq!(probe_depth(&db, "R", 0), 2);
+        // column 1: 4 rows have it, keys {10, 11, 12}
+        assert_eq!(probe_depth(&db, "R", 1), 2);
+        // no row has column 2, and an absent relation has no rows
+        assert_eq!(probe_depth(&db, "R", 2), 0);
+        assert_eq!(probe_depth(&db, "S", 0), 0);
+        assert_eq!(rel_len(&db, "R"), 6);
+        assert_eq!(rel_len(&db, "S"), 0);
     }
 
     #[test]
