@@ -14,7 +14,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use uset_object::cons::{cons_obj_bounded, cons_type_par};
-use uset_object::{intern, Atom, Database, Instance, ObjectError, RType, Value};
+use uset_object::{Atom, Database, Instance, ObjectError, RType, Value};
 
 /// Evaluation bounds.
 #[derive(Clone, Copy, Debug)]
@@ -125,30 +125,24 @@ type Bindings = HashMap<String, Rc<Value>>;
 /// quantifier nested under `k` enclosing binding loops re-enumerates the
 /// *identical* (often exponential) constructive domain once per
 /// enclosing combination — the memo collapses that to once per rtype.
-/// Active only while the `USET_INTERN` layer is on, so the knob cleanly
-/// isolates every representation/caching change; with it off the
-/// pre-caching enumeration behavior is preserved exactly.
 #[derive(Default)]
 struct DomainCache {
     domains: HashMap<RType, Rc<Vec<Rc<Value>>>>,
 }
 
 impl DomainCache {
-    /// The quantifier domain for `ty`, memoized when interning is on.
+    /// The quantifier domain for `ty`, memoized.
     fn domain(
         &mut self,
         ty: &RType,
         atoms: &BTreeSet<Atom>,
         config: &CalcConfig,
     ) -> Result<Rc<Vec<Rc<Value>>>, CalcError> {
-        let wrap = |vs: Vec<Value>| Rc::new(vs.into_iter().map(Rc::new).collect());
-        if !intern::enabled() {
-            return Ok(wrap(enumerate_rtype(ty, atoms, config)?));
-        }
         if let Some(d) = self.domains.get(ty) {
             return Ok(Rc::clone(d));
         }
-        let d = wrap(enumerate_rtype(ty, atoms, config)?);
+        let vs = enumerate_rtype(ty, atoms, config)?;
+        let d: Rc<Vec<_>> = Rc::new(vs.into_iter().map(Rc::new).collect());
         self.domains.insert(ty.clone(), Rc::clone(&d));
         Ok(d)
     }

@@ -21,19 +21,18 @@
 //! the states they encode, and fixed widths keep torn-record detection
 //! trivial.
 
-//! **Structural sharing** (PR 10): when the `USET_INTERN` layer is on,
-//! an encoder deduplicates repeated subtrees — the first occurrence of a
-//! large node (structural size ≥ [`SHARE_MIN_SIZE`]) is written in full
-//! and assigned the next *post-order sequence number*; later occurrences
-//! write tag 3 + that number. The numbering depends only on structural
-//! content and encode order (pool ids are **never** written), so the
-//! bytes stay deterministic across processes and parallel widths.
-//! Decoders always accept tag 3 regardless of the knob, so payloads are
-//! knob-portable; with the knob off an encoder emits exactly the
-//! pre-sharing byte stream.
+//! **Structural sharing**: an encoder deduplicates repeated subtrees —
+//! the first occurrence of a large node (structural size ≥
+//! [`SHARE_MIN_SIZE`]) is written in full and assigned the next
+//! *post-order sequence number*; later occurrences write tag 3 + that
+//! number. The numbering depends only on structural content and encode
+//! order (pool ids are **never** written), so the bytes stay
+//! deterministic across processes and parallel widths. Decoders also
+//! read pure tree streams (tags 0–2 only), the format of checkpoints
+//! written before encoders shared subtrees.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use uset_object::intern::{self, FxBuildHasher};
+use uset_object::intern::FxBuildHasher;
 use uset_object::{Atom, Database, EvalStats, Instance, ObjRef, Pool, Value};
 
 /// Minimum structural size ([`Value::size`]) for a subtree to join the
@@ -65,23 +64,12 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Byte-appending encoder. All `put_*` methods are infallible.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
-    /// Subtree-sharing table, present iff interning was on when this
-    /// encoder was created (snapshotted once so a mid-encode knob flip
-    /// cannot produce a mixed stream). Maps pool id → post-order
-    /// sequence number of the node's first occurrence in this stream.
-    share: Option<HashMap<ObjRef, u64, FxBuildHasher>>,
-}
-
-impl Default for Enc {
-    fn default() -> Enc {
-        Enc {
-            buf: Vec::new(),
-            share: intern::enabled().then(HashMap::default),
-        }
-    }
+    /// Subtree-sharing table: pool id → post-order sequence number of
+    /// the node's first occurrence in this stream.
+    share: HashMap<ObjRef, u64, FxBuildHasher>,
 }
 
 impl Enc {
@@ -146,50 +134,15 @@ impl Enc {
         }
     }
 
-    /// A [`Value`] tree (a DAG on the wire when sharing is on).
-    pub fn put_value(&mut self, v: &Value) {
-        if self.share.is_some() {
-            self.put_value_shared(v);
-        } else {
-            self.put_value_plain(v);
-        }
-    }
-
-    /// The pre-sharing encoding: a pure tree walk, byte-for-byte the
-    /// `USET_INTERN=off` stream.
-    fn put_value_plain(&mut self, v: &Value) {
-        match v {
-            Value::Atom(a) => {
-                self.put_u8(0);
-                self.put_atom(*a);
-            }
-            Value::Tuple(items) => {
-                self.put_u8(1);
-                self.put_usize(items.len());
-                for item in items {
-                    self.put_value_plain(item);
-                }
-            }
-            Value::Set(items) => {
-                self.put_u8(2);
-                self.put_usize(items.len());
-                for item in items {
-                    self.put_value_plain(item);
-                }
-            }
-        }
-    }
-
-    /// Sharing encoding: each distinct subtree of size ≥
-    /// [`SHARE_MIN_SIZE`] is written once; repeats become tag-3
+    /// A [`Value`], as a DAG on the wire: each distinct subtree of size
+    /// ≥ [`SHARE_MIN_SIZE`] is written once; repeats become tag-3
     /// backrefs to its post-order sequence number.
-    fn put_value_shared(&mut self, v: &Value) {
+    pub fn put_value(&mut self, v: &Value) {
         let pool = Pool::global();
         let id = pool.intern(v);
         let shareable = pool.meta(id).size >= SHARE_MIN_SIZE;
         if shareable {
-            let table = self.share.as_ref().expect("shared path implies table");
-            if let Some(&seq) = table.get(&id) {
+            if let Some(&seq) = self.share.get(&id) {
                 self.put_u8(3);
                 self.put_u64(seq);
                 return;
@@ -204,14 +157,14 @@ impl Enc {
                 self.put_u8(1);
                 self.put_usize(items.len());
                 for item in items {
-                    self.put_value_shared(item);
+                    self.put_value(item);
                 }
             }
             Value::Set(items) => {
                 self.put_u8(2);
                 self.put_usize(items.len());
                 for item in items {
-                    self.put_value_shared(item);
+                    self.put_value(item);
                 }
             }
         }
@@ -219,9 +172,8 @@ impl Enc {
             // Post-order numbering: children (encoded just above) took
             // earlier numbers, exactly mirroring the decoder, which can
             // only record a node after constructing it.
-            let table = self.share.as_mut().expect("shared path implies table");
-            let seq = table.len() as u64;
-            table.insert(id, seq);
+            let seq = self.share.len() as u64;
+            self.share.insert(id, seq);
         }
     }
 
@@ -270,9 +222,9 @@ pub struct Dec<'a> {
     b: &'a [u8],
     i: usize,
     /// Decoded subtrees of size ≥ [`SHARE_MIN_SIZE`] in post-order —
-    /// the mirror of the encoder's sharing table, maintained
-    /// unconditionally so any decoder accepts tag-3 backrefs no matter
-    /// which knob setting wrote the payload.
+    /// the mirror of the encoder's sharing table. Tree-only streams
+    /// (written before encoders shared subtrees) fill it too and simply
+    /// never refer back into it.
     seen: Vec<Value>,
 }
 
@@ -650,56 +602,94 @@ mod tests {
         assert!(Dec::new(&bytes).len_prefix().is_err());
     }
 
-    /// A value whose subtrees repeat (the powerset shape): the shared
-    /// encoding must be smaller than the plain one, decode to the same
-    /// value through either knob, and the plain stream must be
-    /// byte-identical to the pre-sharing format.
-    #[test]
-    fn shared_encoding_roundtrips_and_dedups() {
+    /// A pure tree stream (tags 0–2, no backrefs), the format of
+    /// checkpoints written before encoders shared subtrees.
+    fn tree(e: &mut Enc, v: &Value) {
+        match v {
+            Value::Atom(a) => {
+                e.put_u8(0);
+                e.put_atom(*a);
+            }
+            Value::Tuple(items) => {
+                e.put_u8(1);
+                e.put_usize(items.len());
+                items.iter().for_each(|item| tree(e, item));
+            }
+            Value::Set(items) => {
+                e.put_u8(2);
+                e.put_usize(items.len());
+                items.iter().for_each(|item| tree(e, item));
+            }
+        }
+    }
+
+    /// A tuple of four atoms and a three-atom set: size 9, so it is
+    /// shared, while its set member (size 4) is not.
+    fn big() -> Value {
         use uset_object::{set, tuple};
-        let big = tuple([
+        tuple([
             atom(1),
             atom(2),
             atom(3),
             atom(4),
             set([atom(5), atom(6), atom(7)]),
-        ]);
-        // the same big subtree appears three times
-        let v = Value::Set(
-            [
-                tuple([atom(0), big.clone()]),
-                tuple([atom(9), big.clone()]),
-                big.clone(),
-            ]
-            .into_iter()
-            .collect(),
-        );
+        ])
+    }
 
-        let was = uset_object::intern::enabled();
-        uset_object::intern::set_enabled(false);
-        let mut plain = Enc::new();
-        plain.put_value(&v);
-        let plain_bytes = plain.finish();
-
-        uset_object::intern::set_enabled(true);
+    /// A tree-only stream whose subtrees repeat in full decodes to its
+    /// value: checkpoints already on disk stay readable.
+    #[test]
+    fn tree_only_stream_decodes() {
+        use uset_object::tuple;
+        let v = Value::Set([tuple([atom(0), big()]), big()].into_iter().collect());
+        let mut e = Enc::new();
+        tree(&mut e, &v);
+        let bytes = e.finish();
         let mut shared = Enc::new();
         shared.put_value(&v);
-        let shared_bytes = shared.finish();
-        uset_object::intern::set_enabled(was);
+        assert!(bytes.len() > shared.finish().len(), "big is written twice");
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.value().unwrap(), v);
+        assert!(d.done());
+    }
 
-        assert!(
-            shared_bytes.len() < plain_bytes.len(),
-            "sharing must shrink a repeat-heavy payload ({} vs {})",
-            shared_bytes.len(),
-            plain_bytes.len()
+    /// A subtree that repeats (the powerset shape) is written in full
+    /// once; each later occurrence is a tag-3 backref to its post-order
+    /// number, and the stream decodes to the same value.
+    #[test]
+    fn shared_encoding_roundtrips_and_dedups() {
+        use uset_object::tuple;
+        assert!(big().size() as u64 >= SHARE_MIN_SIZE);
+        // canonical member order: [0, big] < big < [9, big]
+        let v = Value::Set(
+            [tuple([atom(0), big()]), tuple([atom(9), big()]), big()]
+                .into_iter()
+                .collect(),
         );
-        // both streams decode to the same value, with any decoder
-        let mut d1 = Dec::new(&plain_bytes);
-        assert_eq!(d1.value().unwrap(), v);
-        assert!(d1.done());
-        let mut d2 = Dec::new(&shared_bytes);
-        assert_eq!(d2.value().unwrap(), v);
-        assert!(d2.done());
+        let mut e = Enc::new();
+        e.put_value(&v);
+        let bytes = e.finish();
+
+        // big is the first shareable node to complete: number 0
+        let mut want = Enc::new();
+        want.put_u8(2);
+        want.put_usize(3);
+        want.put_u8(1);
+        want.put_usize(2);
+        tree(&mut want, &atom(0));
+        tree(&mut want, &big());
+        want.put_u8(3);
+        want.put_u64(0);
+        want.put_u8(1);
+        want.put_usize(2);
+        tree(&mut want, &atom(9));
+        want.put_u8(3);
+        want.put_u64(0);
+        assert_eq!(bytes, want.finish());
+
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.value().unwrap(), v);
+        assert!(d.done());
     }
 
     /// A backref pointing past the table (corruption) fails closed.
@@ -726,22 +716,25 @@ mod tests {
             atom(6),
             atom(7),
         ]);
-        let inst = Instance::from_values([
-            Value::Tuple(vec![atom(1), member.clone()]),
-            Value::Tuple(vec![atom(2), member.clone()]),
-            Value::Tuple(vec![atom(3), member.clone()]),
-        ]);
-        let was = uset_object::intern::enabled();
-        uset_object::intern::set_enabled(true);
+        let row = |i: u64| Value::Tuple(vec![atom(i), member.clone()]);
+        let inst = Instance::from_values([row(1), row(2), row(3)]);
         let mut e = Enc::new();
         e.put_instance(&inst);
         let bytes = e.finish();
-        uset_object::intern::set_enabled(false);
-        let mut plain = Enc::new();
-        plain.put_instance(&inst);
-        let plain_bytes = plain.finish();
-        uset_object::intern::set_enabled(was);
-        assert!(bytes.len() < plain_bytes.len());
+
+        // the member (size 8) is number 0, the first row number 1
+        let mut want = Enc::new();
+        want.put_usize(3);
+        tree(&mut want, &row(1));
+        for i in [2, 3] {
+            want.put_u8(1);
+            want.put_usize(2);
+            tree(&mut want, &atom(i));
+            want.put_u8(3);
+            want.put_u64(0);
+        }
+        assert_eq!(bytes, want.finish());
+
         let mut d = Dec::new(&bytes);
         assert_eq!(d.instance().unwrap(), inst);
         assert!(d.done());

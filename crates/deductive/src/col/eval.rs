@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use uset_guard::ckpt;
 use uset_guard::{Budget, EngineId, Exhausted, Governor, ParBrake};
-use uset_object::{intern, Database, EvalStats, IndexSet, Instance, Pool, RType, Value};
+use uset_object::{Database, EvalStats, IndexSet, Instance, Pool, RType, Value};
 use uset_par::shard_of;
 
 /// Evaluation state: predicate extents and data-function graphs.
@@ -106,22 +106,6 @@ impl ColState {
         self.preds
             .insert(name.to_owned(), Instance::from_values([row.clone()]));
         true
-    }
-
-    /// Remove one row from a predicate extent; true if it was present.
-    /// The inverse of [`ColState::insert_pred_row`]; a predicate whose
-    /// last row is removed is dropped entirely, matching the pruning
-    /// convention of [`Database::remove_row`] so states that gain and
-    /// lose rows compare equal to states that never saw them.
-    pub fn remove_pred_row(&mut self, name: &str, row: &Value) -> bool {
-        let Some(rel) = self.preds.get_mut(name) else {
-            return false;
-        };
-        let removed = rel.remove(row);
-        if removed && rel.is_empty() {
-            self.preds.remove(name);
-        }
-        removed
     }
 
     /// Insert one element into a data-function value; true if newly added.
@@ -621,9 +605,9 @@ impl ColPlan {
                         let present = if ground.len() == 1 {
                             rel.contains(&ground[0])
                         } else {
-                            // with the pool on and the relation's id
-                            // sidecar current, probe by ObjRef instead of
-                            // building the tuple just to hash it
+                            // with the relation's id sidecar current,
+                            // probe by ObjRef instead of building the
+                            // tuple just to hash it
                             match negated_tuple_probe(rel, &ground) {
                                 Some(hit) => hit,
                                 None => rel.contains(&Value::Tuple(ground)),
@@ -835,16 +819,13 @@ impl ColPlan {
 }
 
 /// Probe `[ground…] ∈ rel` for a negated n-ary literal without
-/// materializing the probe tuple: with the pool on and the relation's id
-/// sidecar current, the ground argument values intern to an [`ObjRef`]
-/// and membership is a hash-set lookup. `None` means a fast-path
-/// precondition failed and the caller must build the tuple.
+/// materializing the probe tuple: with the relation's id sidecar current,
+/// the ground argument values intern to an [`ObjRef`] and membership is a
+/// hash-set lookup. `None` means the sidecar cannot answer and the caller
+/// must build the tuple.
 ///
 /// [`ObjRef`]: uset_object::ObjRef
 fn negated_tuple_probe(rel: &Instance, ground: &[Value]) -> Option<bool> {
-    if !intern::enabled() {
-        return None;
-    }
     rel.contains_ref(Pool::global().intern_tuple_slice(ground))
 }
 

@@ -14,14 +14,13 @@
 //! for COL with untyped sets.
 
 use crate::fixpoint::{self, Derived, Engine, Mark, Probes, Resume, RuleClass, Unit};
-use crate::plan::{slot_of, DeltaJoin, DlPlan, IdIndex, Index, Read};
-use std::borrow::Cow;
+use crate::plan::{slot_of, DeltaJoin, DlPlan, IdIndex, Read};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use uset_guard::ckpt;
 use uset_guard::{Budget, EngineId, Exhausted, Governor, ParBrake};
 use uset_object::intern::FxBuildHasher;
-use uset_object::{intern, Database, EvalStats, IndexSet, Instance, ObjRef, Pool, Value};
+use uset_object::{Database, EvalStats, Instance, ObjRef, Pool, Value};
 use uset_par::shard_of;
 
 /// A term: a variable or a constant atom value.
@@ -457,17 +456,12 @@ fn dl_fold(rec: &ckpt::Recovered) -> Option<Resume<Database, BTreeMap<String, In
 /// its head's id from its slots' ids, a round's delta is its new row ids
 /// in canonical order, settled probes look ids up in [`IdIndex`]es, and
 /// a row's tree is built once, when the commit adds it to its relation.
-/// With the interning layer off, which must leave the pool untouched,
-/// rows are values instead and indexes hold value buckets; rounds,
-/// admission, commits and index policy are the same. The naive strategy
-/// (the stratified and inflationary reference semantics) fires every
-/// rule from the full state every round; its rounds report and
-/// checkpoint an empty delta, with each round's insertions riding in the
-/// checkpoint record separately.
+/// The naive strategy (the stratified and inflationary reference
+/// semantics) fires every rule from the full state every round; its
+/// rounds report and checkpoint an empty delta, with each round's
+/// insertions riding in the checkpoint record separately.
 struct Dl {
     naive: bool,
-    /// Whether rows are pool ids (the interning layer is on).
-    pooled: bool,
     /// Head predicates, numbered.
     preds: Vec<String>,
     /// Program rule index → its head predicate's number.
@@ -483,69 +477,25 @@ impl Dl {
             .collect();
         Dl {
             naive,
-            pooled: intern::enabled(),
             preds,
             heads,
         }
     }
 }
 
-/// A DATALOG¬ row: its pool id, or its value when rows are not pooled.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum Row {
-    Id(ObjRef),
-    Value(Value),
-}
+/// A derived DATALOG¬ fact: its head predicate's number and its row id.
+type DlFact = (usize, ObjRef);
 
-impl Row {
-    fn id(&self) -> Option<ObjRef> {
-        match self {
-            Row::Id(id) => Some(*id),
-            Row::Value(_) => None,
-        }
-    }
+/// A round's delta: predicate → its new row ids, in canonical order.
+type DlDelta = BTreeMap<String, Vec<ObjRef>>;
 
-    fn as_value(&self) -> Option<&Value> {
-        match self {
-            Row::Value(v) => Some(v),
-            Row::Id(_) => None,
-        }
-    }
-
-    /// The row's value, built from the pool for an id.
-    fn value(&self) -> Cow<'_, Value> {
-        match self {
-            Row::Id(id) => Cow::Owned(Pool::global().resolve(*id)),
-            Row::Value(v) => Cow::Borrowed(v),
-        }
-    }
-
-    /// Whether `rel` holds the row.
-    fn in_rel(&self, rel: &Instance) -> bool {
-        match self {
-            Row::Id(id) => rel.contains_id(*id),
-            Row::Value(v) => rel.contains(v),
-        }
-    }
-}
-
-/// A derived DATALOG¬ fact: its head predicate's number and its row.
-type DlFact = (usize, Row);
-
-/// A round's delta: predicate → its new rows, in canonical order.
-type DlDelta = BTreeMap<String, Vec<Row>>;
-
-/// The settled state's indexes: per predicate and column, id buckets
-/// when rows are pooled, value buckets otherwise.
-#[derive(Default)]
-struct DlIndexes {
-    ids: BTreeMap<String, BTreeMap<usize, IdIndex>>,
-    values: IndexSet,
-}
+/// The settled state's indexes, per predicate and column.
+type DlIndexes = BTreeMap<String, BTreeMap<usize, IdIndex>>;
 
 /// A delta's rows as values, the shape checkpoints encode.
 fn delta_rows(delta: &DlDelta) -> BTreeMap<String, Instance> {
-    let rows = |rows: &[Row]| Instance::from_values(rows.iter().map(|r| r.value().into_owned()));
+    let pool = Pool::global();
+    let rows = |rows: &[ObjRef]| Instance::from_values(rows.iter().map(|&id| pool.resolve(id)));
     delta.iter().map(|(p, r)| (p.clone(), rows(r))).collect()
 }
 
@@ -616,23 +566,13 @@ impl Engine for Dl {
     fn index(&self, state: &Database, keep: &Probes, indexes: &mut DlIndexes) {
         let kept = |pred: &str, col: usize| keep.get(pred).is_some_and(|k| k.contains(&col));
         let empty = Instance::empty();
-        if !self.pooled {
-            indexes.values.retain(kept);
-            for (pred, cols) in keep {
-                for &col in cols {
-                    let rel = state.get_ref(pred).unwrap_or(&empty);
-                    indexes.values.of_col(pred, col, rel);
-                }
-            }
-            return;
-        }
-        indexes.ids.retain(|pred, cols| {
+        indexes.retain(|pred, cols| {
             cols.retain(|&col, _| kept(pred, col));
             !cols.is_empty()
         });
         for (pred, cols) in keep {
             let rel = state.get_ref(pred).unwrap_or(&empty);
-            let built = indexes.ids.entry(pred.clone()).or_default();
+            let built = indexes.entry(pred.clone()).or_default();
             for &col in cols {
                 built
                     .entry(col)
@@ -684,26 +624,14 @@ impl Engine for Dl {
             frames = match delta {
                 Some((d, pos)) if pos == i => {
                     let rows = d.get(&step.pred).map_or(&[][..], Vec::as_slice);
-                    if self.pooled {
-                        let join = DeltaJoin::new(rows.iter().filter_map(Row::id), step.probe);
-                        plan.join(i, &frames, Read::DeltaIds(&join), st)?
-                    } else {
-                        let values = rows.iter().filter_map(Row::as_value);
-                        let join = DeltaJoin::new(values, step.probe);
-                        plan.join(i, &frames, Read::Delta(&join), st)?
-                    }
+                    let join = DeltaJoin::new(rows.iter().copied(), step.probe);
+                    plan.join(i, &frames, Read::DeltaIds(&join), st)?
                 }
                 _ => {
                     let rel = state.get_ref(&step.pred).unwrap_or(&empty);
-                    let index = step.probe.and_then(|col| {
-                        if self.pooled {
-                            let idx = indexes.ids.get(&step.pred)?.get(&col)?;
-                            Some(Index::Ids(idx))
-                        } else {
-                            let idx = indexes.values.get(&step.pred, col, rel.version())?;
-                            Some(Index::Values(idx))
-                        }
-                    });
+                    let index = step
+                        .probe
+                        .and_then(|col| indexes.get(&step.pred)?.get(&col));
                     plan.join(i, &frames, Read::Settled(rel, index), st)?
                 }
             };
@@ -719,22 +647,17 @@ impl Engine for Dl {
         let pred = self.heads[unit.idx];
         let head_rel = state.get_ref(plan.head_pred());
         for f in &frames {
-            let row = if self.pooled {
-                let id = plan.head_id(f)?;
-                if head_rel.and_then(|rel| rel.contains_ref(id)) == Some(true) {
-                    continue;
-                }
-                Row::Id(id)
-            } else {
-                Row::Value(plan.head_row(f)?)
-            };
+            let id = plan.head_id(f)?;
+            if head_rel.and_then(|rel| rel.contains_ref(id)) == Some(true) {
+                continue;
+            }
             let parents = if want_prov {
                 Some(plan.parents(f)?)
             } else {
                 None
             };
             out.push(Derived {
-                fact: (pred, row),
+                fact: (pred, id),
                 rule: unit.idx,
                 parents,
             });
@@ -749,9 +672,10 @@ impl Engine for Dl {
         let Some(rows) = delta.get(pred) else {
             return Vec::new();
         };
-        let mut shards: Vec<Vec<Row>> = vec![Vec::new(); workers.max(1)];
-        for row in rows {
-            shards[shard_of(&*row.value(), workers)].push(row.clone());
+        let pool = Pool::global();
+        let mut shards: Vec<Vec<ObjRef>> = vec![Vec::new(); workers.max(1)];
+        for &row in rows {
+            shards[shard_of(&pool.resolve(row), workers)].push(row);
         }
         shards
             .into_iter()
@@ -769,15 +693,13 @@ impl Engine for Dl {
 
     fn settled(&self, state: &Database, (pred, row): &DlFact) -> bool {
         let rel = state.get_ref(&self.preds[*pred]);
-        rel.is_some_and(|rel| row.in_rel(rel))
+        rel.is_some_and(|rel| rel.contains_id(*row))
     }
 
     /// Each admitted row's tree is built once, from the pool, and its id
     /// goes into the kept indexes in admission order. Each relation's new
-    /// rows are then sorted once and moved in (unpooled rows are noted in
-    /// their value indexes after that, in admission order). Turned-away
-    /// duplicates count toward their relation's id sidecar as rejected
-    /// inserts do.
+    /// rows are then sorted once and moved in. Turned-away duplicates
+    /// count toward their relation's id sidecar as rejected inserts do.
     fn commit(
         &self,
         state: &mut Database,
@@ -796,40 +718,20 @@ impl Engine for Dl {
             }
             None => pool.resolve(id),
         };
-        let mut rows: BTreeMap<usize, Vec<(Value, Option<ObjRef>)>> = BTreeMap::new();
-        let mut noted = Vec::new();
-        for (pred, row) in facts {
-            let new = rows.entry(pred).or_default();
-            match row {
-                Row::Id(id) => {
-                    if let Some(cols) = indexes.ids.get_mut(&self.preds[pred]) {
-                        cols.values_mut().for_each(|idx| idx.insert(id));
-                    }
-                    new.push((tree(id), Some(id)));
-                }
-                Row::Value(v) => {
-                    noted.push((pred, v.clone()));
-                    new.push((v, None));
-                }
+        let mut rows: BTreeMap<usize, Vec<(Value, ObjRef)>> = BTreeMap::new();
+        for (pred, id) in facts {
+            if let Some(cols) = indexes.get_mut(&self.preds[pred]) {
+                cols.values_mut().for_each(|idx| idx.insert(id));
             }
+            rows.entry(pred).or_default().push((tree(id), id));
         }
         let mut delta = DlDelta::new();
         for (pred, mut new) in rows {
             new.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             let name = &self.preds[pred];
-            let row = |(v, id): &(Value, Option<ObjRef>)| match id {
-                Some(id) => Row::Id(*id),
-                None => Row::Value(v.clone()),
-            };
-            delta.insert(name.clone(), new.iter().map(row).collect());
+            delta.insert(name.clone(), new.iter().map(|&(_, id)| id).collect());
             for (v, id) in new {
-                state.insert_owned(name, v, id);
-            }
-        }
-        for (pred, v) in noted {
-            let name = &self.preds[pred];
-            if let Some(rel) = state.get_ref(name) {
-                indexes.values.note_insert(name, &v, rel);
+                state.insert_owned(name, v, Some(id));
             }
         }
         for (pred, _) in turned_away {
@@ -839,7 +741,7 @@ impl Engine for Dl {
     }
 
     fn render(&self, (pred, row): &DlFact) -> String {
-        render_fact(&self.preds[*pred], &row.value())
+        render_fact(&self.preds[*pred], &Pool::global().resolve(*row))
     }
 
     /// Each round appends an engine-level delta record; the full state is
@@ -868,14 +770,7 @@ impl Engine for Dl {
 
     fn resume(&self, rec: &ckpt::Recovered) -> Option<Resume<Database, DlDelta>> {
         let r = dl_fold(rec)?;
-        let row = |v: Value| {
-            if self.pooled {
-                Row::Id(Pool::global().intern(&v))
-            } else {
-                Row::Value(v)
-            }
-        };
-        let rows = |inst: Instance| inst.into_iter().map(row).collect();
+        let rows = |inst: Instance| inst.iter().map(|v| Pool::global().intern(v)).collect();
         Some(Resume {
             at: r.at,
             delta: r.delta.into_iter().map(|(p, i)| (p, rows(i))).collect(),
@@ -920,18 +815,16 @@ mod tests {
     }
 
     #[test]
-    fn join_counter_contract_is_knob_independent() {
+    fn join_counter_contract() {
         // `scan_fallbacks` fires only when a probe column is ground but no
         // index is usable (a prebuilt-cache miss); the governed engines
         // prebuild every probe column, so end-to-end runs
         // keep it at 0. Pin the counting contract at the source instead:
         // one index hit counts one probe, a ground column without an index
         // counts one fallback, plain scans, delta joins and negated
-        // membership probes count nothing — identically with the pool on
-        // and off, since the interned negated-probe path must be
-        // observationally invisible. A positive literal that is ground when
-        // a plain scan reaches it becomes a membership test: the same
-        // frames as the scan, and again no counts.
+        // membership probes count nothing. A positive literal that is
+        // ground when a plain scan reaches it becomes a membership test:
+        // the same frames as the scan, and again no counts.
         let rel = Instance::from_rows((0..8u64).map(|i| [atom(i), atom(i + 1)]));
         // large enough for the pool-id probe to answer
         let big = Instance::from_rows((0..32u64).map(|i| [atom(i), atom(i + 1)]));
@@ -979,53 +872,43 @@ mod tests {
         let idx = IdIndex::build_on(&rel, 0);
         let delta = DeltaJoin::new(rel.iter(), plan.body[0].probe);
         let heads = |fs: Vec<Frame<'_>>| -> Vec<Value> {
-            fs.iter().map(|f| plan.head_row(f).unwrap()).collect()
+            let head = |f| Pool::global().resolve(plan.head_id(f).unwrap());
+            fs.iter().map(head).collect()
         };
 
-        let mut runs = Vec::new();
-        for on in [true, false] {
-            intern::set_enabled(on);
-            let mut stats = EvalStats::default();
-            let mut join = |read| plan.join(0, &frames, read, &mut stats).unwrap();
-            let hit = heads(join(Read::Settled(&rel, Some(Index::Ids(&idx)))));
-            let scan = heads(join(Read::Settled(&rel, None)));
-            let plain = heads(join(Read::Scan(Overlay::plain(&rel))));
-            let hashed = heads(join(Read::Delta(&delta)));
-            let negated = plan
-                .join(1, &frames, Read::Scan(Overlay::plain(&rel)), &mut stats)
+        let mut stats = EvalStats::default();
+        let mut join = |read| plan.join(0, &frames, read, &mut stats).unwrap();
+        let hit = heads(join(Read::Settled(&rel, Some(&idx))));
+        let scan = heads(join(Read::Settled(&rel, None)));
+        let plain = heads(join(Read::Scan(Overlay::plain(&rel))));
+        let hashed = heads(join(Read::Delta(&delta)));
+        let negated = plan
+            .join(1, &frames, Read::Scan(Overlay::plain(&rel)), &mut stats)
+            .unwrap();
+        for base in [&rel, &big] {
+            let mut probed = EvalStats::default();
+            let read = Read::Scan(Overlay::plain(base));
+            let member = bound.join(1, &all, read, &mut probed).unwrap();
+            let scanned = bound
+                .join(
+                    1,
+                    &all,
+                    Read::Settled(base, None),
+                    &mut EvalStats::default(),
+                )
                 .unwrap();
-            for base in [&rel, &big] {
-                let mut probed = EvalStats::default();
-                let read = Read::Scan(Overlay::plain(base));
-                let member = bound.join(1, &all, read, &mut probed).unwrap();
-                let scanned = bound
-                    .join(
-                        1,
-                        &all,
-                        Read::Settled(base, None),
-                        &mut EvalStats::default(),
-                    )
-                    .unwrap();
-                assert_eq!(
-                    slots(&member),
-                    slots(&scanned),
-                    "membership ≡ scan (knob={on})"
-                );
-                let none = bound.join(2, &member, read, &mut probed).unwrap();
-                assert!(none.is_empty(), "no E(y, y) row");
-                assert_eq!(probed, EvalStats::default(), "membership counts nothing");
-            }
-            assert_eq!(stats.index_probes, 1, "one bucket probe (knob={on})");
-            assert_eq!(stats.scan_fallbacks, 1, "one scan fallback (knob={on})");
-            assert_eq!(hit, vec![tuple([atom(4)])]);
-            assert_eq!(hit, scan, "probe and fallback agree on bindings");
-            assert_eq!(scan, plain);
-            assert_eq!(plain, hashed, "the delta hash join agrees with a scan");
-            assert!(negated.is_empty(), "E(3,4) holds, so ¬E(3,4) filters");
-            runs.push((hit, stats));
+            assert_eq!(slots(&member), slots(&scanned), "membership ≡ scan");
+            let none = bound.join(2, &member, read, &mut probed).unwrap();
+            assert!(none.is_empty(), "no E(y, y) row");
+            assert_eq!(probed, EvalStats::default(), "membership counts nothing");
         }
-        intern::set_enabled(true);
-        assert_eq!(runs[0], runs[1], "pooled and plain runs are identical");
+        assert_eq!(stats.index_probes, 1, "one bucket probe");
+        assert_eq!(stats.scan_fallbacks, 1, "one scan fallback");
+        assert_eq!(hit, vec![tuple([atom(4)])]);
+        assert_eq!(hit, scan, "probe and fallback agree on bindings");
+        assert_eq!(scan, plain);
+        assert_eq!(plain, hashed, "the delta hash join agrees with a scan");
+        assert!(negated.is_empty(), "E(3,4) holds, so ¬E(3,4) filters");
     }
 
     #[test]

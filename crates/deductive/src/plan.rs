@@ -29,7 +29,7 @@ use std::rc::Rc;
 use std::sync::OnceLock;
 use uset_object::index::nth_column;
 use uset_object::intern::FxBuildHasher;
-use uset_object::{intern, ColumnIndex, EvalStats, Instance, ObjRef, Pool, Value};
+use uset_object::{EvalStats, Instance, ObjRef, Pool, Value};
 
 /// A bound value: borrowed from the row it matched (or owned, when a
 /// literal computed it), plus its pool id, interned on first use and
@@ -377,23 +377,14 @@ pub struct DlStep {
     pub probe: Option<usize>,
 }
 
-/// An index over the settled state: id buckets, or — with the interning
-/// layer off, which must leave the pool untouched — value buckets.
-#[derive(Clone, Copy)]
-pub enum Index<'a> {
-    /// Looked up by the bound item's pool id.
-    Ids(&'a IdIndex),
-    /// Looked up by the bound item's value.
-    Values(&'a ColumnIndex),
-}
-
 /// How one step reads its relation.
 #[derive(Clone, Copy)]
 pub enum Read<'x, 'a> {
     /// The settled state: a positive step with a probe column looks the
-    /// column's bound item up in `index` (one `index_probes` each), or
-    /// scans and counts a `scan_fallbacks` when no index is at hand.
-    Settled(&'a Instance, Option<Index<'a>>),
+    /// column's bound item's pool id up in `index` (one `index_probes`
+    /// each), or scans and counts a `scan_fallbacks` when no index is at
+    /// hand.
+    Settled(&'a Instance, Option<&'a IdIndex>),
     /// A plain scan that counts nothing. A positive step whose arguments
     /// are all ground becomes one membership test instead, and one with a
     /// column bound under the frame probes the overlay's [`IdIndex`] on
@@ -534,19 +525,12 @@ impl DlPlan {
                     }
                 }
                 Read::Settled(rel, index) => match (key.filter(|a| self.is_bound(a, f)), index) {
-                    (Some(a), Some(Index::Ids(idx))) => {
+                    (Some(a), Some(idx)) => {
                         stats.index_probes += 1;
                         let col = step.probe.expect("a key has a column");
                         let item = self.ground_id(a, f).expect("a bound key has an id");
                         for &row in idx.probe(col, item) {
                             extend_id(step, f, row, &mut out);
-                        }
-                    }
-                    (Some(a), Some(Index::Values(idx))) => {
-                        stats.index_probes += 1;
-                        let item = self.ground_ref(a, f).expect("a bound key has a value");
-                        for row in idx.probe(item) {
-                            extend_row(step, f, row, &mut out);
                         }
                     }
                     (key, _) => {
@@ -613,13 +597,10 @@ impl DlPlan {
     /// answer; the row is materialized when that cannot, or when an
     /// overlay must look it up among the batch's rows.
     fn holds(&self, step: &DlStep, f: &Frame<'_>, rel: Overlay<'_>) -> Result<bool, DlError> {
-        let mut in_base = None;
-        if intern::enabled() {
-            let ids = self.ids(&step.args, f, &step.pred)?;
-            in_base = rel.base.contains_ref(Pool::global().tuple_of(&ids));
-            if let (Some(hit), None) = (in_base, rel.undo) {
-                return Ok(hit);
-            }
+        let ids = self.ids(&step.args, f, &step.pred)?;
+        let in_base = rel.base.contains_ref(Pool::global().tuple_of(&ids));
+        if let (Some(hit), None) = (in_base, rel.undo) {
+            return Ok(hit);
         }
         let row = self.ground(&step.args, f, &step.pred)?;
         let in_base = in_base.unwrap_or_else(|| rel.base.contains(&row));
@@ -673,11 +654,6 @@ impl DlPlan {
     pub fn body_row(&self, i: usize, f: &Frame<'_>) -> Result<Value, DlError> {
         let step = &self.body[i];
         self.ground(&step.args, f, &step.pred)
-    }
-
-    /// The head fact's row under a final binding.
-    pub fn head_row(&self, f: &Frame<'_>) -> Result<Value, DlError> {
-        self.ground(&self.head.args, f, &self.head.pred)
     }
 
     /// The head row's pool id, built from the slots' cached ids without

@@ -10,10 +10,10 @@
 //! turning the inner join loop from O(|rel|) to O(matches).
 //!
 //! [`IndexSet`] caches indexes per `(relation, column)`, built on first
-//! use and kept in sync by the engine notifying it of every inserted or
-//! removed row. Because the cache is only *advisory* — a probe answers
-//! the same question a scan would — it also defends itself against the
-//! one way the notify protocol can be violated: every index carries the
+//! use and kept in sync by the engine notifying it of every inserted
+//! row. Because the cache is only *advisory* — a probe answers the same
+//! question a scan would — it also defends itself against the one way
+//! the notify protocol can be violated: every index carries the
 //! mutation-version stamp ([`Instance::version`]) of the instance state
 //! it reflects, and [`IndexSet::of_col`] compares it against the live
 //! instance's stamp, rebuilding on any mismatch. The stamp is renewed by
@@ -25,7 +25,7 @@
 //! the next access instead of a stale join snapshot.
 
 use crate::database::Instance;
-use crate::intern::{self, FxBuildHasher, ObjRef, Pool};
+use crate::intern::{FxBuildHasher, ObjRef, Pool};
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
 
@@ -44,33 +44,14 @@ pub fn nth_column(row: &Value, col: usize) -> Option<&Value> {
     row.as_tuple().and_then(|items| items.get(col))
 }
 
-/// Bucket storage for a [`ColumnIndex`]. The mode is fixed when the
-/// index is created (so one index never mixes keying schemes):
-/// `USET_INTERN` on keys buckets by pool id — probes intern the key
-/// once and look up by O(1) id hash, instead of deep-hashing the key
-/// `Value` and deep-comparing on bucket collisions — and off keeps the
-/// plain deep-keyed map, byte-for-byte the pre-interning behavior.
-#[derive(Clone, Debug)]
-enum Buckets {
-    Plain(HashMap<Value, Vec<Value>>),
-    Ids(HashMap<ObjRef, Vec<Value>, FxBuildHasher>),
-}
-
-impl Default for Buckets {
-    fn default() -> Buckets {
-        if intern::enabled() {
-            Buckets::Ids(HashMap::default())
-        } else {
-            Buckets::Plain(HashMap::new())
-        }
-    }
-}
-
 /// A hash index over one relation: tuple rows grouped by one component.
+/// Buckets are keyed by the component's pool id, so a probe interns the
+/// key once and looks it up by O(1) id hash instead of deep-hashing the
+/// key `Value` and deep-comparing on bucket collisions.
 #[derive(Clone, Debug, Default)]
 pub struct ColumnIndex {
     key_col: usize,
-    buckets: Buckets,
+    buckets: HashMap<ObjRef, Vec<Value>, FxBuildHasher>,
     rows_indexed: usize,
     stamp: u64,
 }
@@ -105,16 +86,11 @@ impl ColumnIndex {
     /// (see [`IndexSet::note_insert`]).
     pub fn insert(&mut self, row: &Value) {
         if let Some(key) = nth_column(row, self.key_col) {
-            match &mut self.buckets {
-                // must stay: plain buckets own key and row (id-keyed
-                // buckets replace the key clone with an intern)
-                Buckets::Plain(m) => m.entry(key.clone()).or_default().push(row.clone()),
-                Buckets::Ids(m) => m
-                    .entry(Pool::global().intern(key))
-                    .or_default()
-                    // must stay: probe answers borrow from the bucket
-                    .push(row.clone()),
-            }
+            self.buckets
+                .entry(Pool::global().intern(key))
+                .or_default()
+                // must stay: probe answers borrow from the bucket
+                .push(row.clone());
             self.rows_indexed += 1;
         }
     }
@@ -126,28 +102,13 @@ impl ColumnIndex {
         let Some(key) = nth_column(row, self.key_col) else {
             return;
         };
-        match &mut self.buckets {
-            Buckets::Plain(m) => {
-                if let Some(bucket) = m.get_mut(key) {
-                    if let Some(pos) = bucket.iter().position(|r| r == row) {
-                        bucket.swap_remove(pos);
-                        self.rows_indexed -= 1;
-                        if bucket.is_empty() {
-                            m.remove(key);
-                        }
-                    }
-                }
-            }
-            Buckets::Ids(m) => {
-                let id = Pool::global().intern(key);
-                if let Some(bucket) = m.get_mut(&id) {
-                    if let Some(pos) = bucket.iter().position(|r| r == row) {
-                        bucket.swap_remove(pos);
-                        self.rows_indexed -= 1;
-                        if bucket.is_empty() {
-                            m.remove(&id);
-                        }
-                    }
+        let id = Pool::global().intern(key);
+        if let Some(bucket) = self.buckets.get_mut(&id) {
+            if let Some(pos) = bucket.iter().position(|r| r == row) {
+                bucket.swap_remove(pos);
+                self.rows_indexed -= 1;
+                if bucket.is_empty() {
+                    self.buckets.remove(&id);
                 }
             }
         }
@@ -155,12 +116,9 @@ impl ColumnIndex {
 
     /// All rows whose keyed component equals `key`.
     pub fn probe(&self, key: &Value) -> &[Value] {
-        match &self.buckets {
-            Buckets::Plain(m) => m.get(key).map_or(&[], Vec::as_slice),
-            Buckets::Ids(m) => m
-                .get(&Pool::global().intern(key))
-                .map_or(&[], Vec::as_slice),
-        }
+        self.buckets
+            .get(&Pool::global().intern(key))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Number of rows the index covers (rows that have the keyed column).
@@ -205,11 +163,11 @@ impl IndexSet {
     /// The column-`col` index for `name`, building it from `inst` on
     /// first use.
     ///
-    /// Callers should report mutations via [`IndexSet::note_insert`] /
-    /// [`IndexSet::note_remove`]; if a relation was nonetheless mutated
-    /// behind the cache's back (detected by comparing the index's stamp
-    /// against the live instance's mutation version), the stale index is
-    /// discarded and rebuilt here rather than served.
+    /// Callers should report insertions via [`IndexSet::note_insert`]; if
+    /// a relation was nonetheless mutated behind the cache's back
+    /// (detected by comparing the index's stamp against the live
+    /// instance's mutation version), the stale index is discarded and
+    /// rebuilt here rather than served.
     pub fn of_col(&mut self, name: &str, col: usize, inst: &Instance) -> &ColumnIndex {
         let by_col = self.map.entry(name.to_owned()).or_default();
         let entry = by_col
@@ -248,33 +206,12 @@ impl IndexSet {
         }
     }
 
-    /// Record a row removed from relation `name`, updating every built
-    /// column index and adopting the mutated instance's fresh stamp —
-    /// the retraction counterpart of [`IndexSet::note_insert`], cheaper
-    /// than [`IndexSet::invalidate`] when only a few rows leave a large
-    /// relation.
-    pub fn note_remove(&mut self, name: &str, row: &Value, inst: &Instance) {
-        if let Some(by_col) = self.map.get_mut(name) {
-            for idx in by_col.values_mut() {
-                idx.remove(row);
-                idx.set_stamp(inst.version());
-            }
-        }
-    }
-
     /// Keep only the indexes `keep` accepts, by relation and column.
     pub fn retain(&mut self, mut keep: impl FnMut(&str, usize) -> bool) {
         self.map.retain(|name, by_col| {
             by_col.retain(|&col, _| keep(name, col));
             !by_col.is_empty()
         });
-    }
-
-    /// Drop every cached index for `name` (e.g. after a rollback that
-    /// removed many rows). Cheaper than letting each next access detect
-    /// the mismatch and rebuild one column at a time.
-    pub fn invalidate(&mut self, name: &str) {
-        self.map.remove(name);
     }
 }
 
@@ -372,21 +309,6 @@ mod tests {
         assert_eq!(set.of_col("R", 1, &inst).probe(&atom(10)).len(), 2);
     }
 
-    #[test]
-    fn note_remove_updates_every_built_column() {
-        let mut inst = rel();
-        let mut set = IndexSet::new();
-        set.of_col("R", 0, &inst);
-        set.of_col("R", 1, &inst);
-        let row = tuple([atom(1), atom(10)]);
-        inst.remove(&row);
-        set.note_remove("R", &row, &inst);
-        assert_eq!(set.of_col("R", 0, &inst).probe(&atom(1)).len(), 1);
-        assert!(set.of_col("R", 1, &inst).probe(&atom(10)).is_empty());
-        // the notified entries are fresh: read-only probers accept them
-        assert!(set.get("R", 0, inst.version()).is_some());
-    }
-
     /// Regression test for the staleness hazard: mutate the relation
     /// *without* notifying the cache (the bug pattern an engine hits if
     /// any mutation path forgets the notify step) and demand that the
@@ -461,38 +383,5 @@ mod tests {
             set.get("R", 0, inst.version()).is_none(),
             "stale entry must not be served to read-only probers"
         );
-    }
-
-    /// The id-keyed and plain bucket modes must be observationally
-    /// identical — same probe answers, same counts — under inserts and
-    /// removals alike.
-    #[test]
-    fn both_bucket_modes_answer_identically() {
-        let was = crate::intern::enabled();
-        for on in [true, false] {
-            crate::intern::set_enabled(on);
-            let mut idx = ColumnIndex::build(&rel());
-            assert_eq!(idx.probe(&atom(1)).len(), 2);
-            assert_eq!(idx.probe(&atom(2)).len(), 1);
-            idx.insert(&tuple([atom(1), atom(12)]));
-            assert_eq!(idx.probe(&atom(1)).len(), 3);
-            idx.remove(&tuple([atom(1), atom(10)]));
-            idx.remove(&tuple([atom(2), atom(20)]));
-            assert_eq!(idx.probe(&atom(1)).len(), 2);
-            assert!(idx.probe(&atom(2)).is_empty());
-            assert_eq!(idx.len(), 2);
-        }
-        crate::intern::set_enabled(was);
-    }
-
-    #[test]
-    fn invalidate_drops_all_columns() {
-        let inst = rel();
-        let mut set = IndexSet::new();
-        set.of_col("R", 0, &inst);
-        set.of_col("R", 1, &inst);
-        set.invalidate("R");
-        assert!(set.get("R", 0, inst.version()).is_none());
-        assert!(set.get("R", 1, inst.version()).is_none());
     }
 }

@@ -29,11 +29,10 @@
 //! nothing observable (states, stats, traces, checkpoints) ever depends
 //! on id values, only on id *equality*, which is interleaving-free.
 //!
-//! The layer is advisory and behavior-transparent: the `USET_INTERN`
-//! knob (default **on**; `off`/`0`/`false` disables) only switches
-//! constant-factor representation choices. Engines must produce
-//! bit-identical states, work counters, and trace bytes either way —
-//! `tests/intern_diff.rs` enforces this differentially.
+//! The pool is always on. It is a representation, not a semantics: states,
+//! work counters, trace bytes and checkpoint payloads never encode an id,
+//! and the golden digests (`tests/fixpoint_golden.rs`,
+//! `tests/ivm_golden.rs`) pin them.
 
 use crate::atom::Atom;
 use crate::flatten::Inventor;
@@ -42,7 +41,7 @@ use std::cell::RefCell;
 use std::cmp::Ordering as CmpOrd;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Shard count (must be a power of two; 16 keeps par workers at widths
@@ -277,35 +276,10 @@ pub struct Pool {
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
-/// `USET_INTERN` knob state: 0 = unread, 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// True iff the interning layer is switched on (`USET_INTERN`, default
-/// on; `off` / `0` / `false` disable). The knob gates *representation
-/// choices* (sidecars, id-keyed buckets, shared serialization) — never
-/// observable behavior.
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("USET_INTERN") {
-                Ok(v) => !matches!(
-                    v.to_ascii_lowercase().as_str(),
-                    "off" | "0" | "false" | "no"
-                ),
-                Err(_) => true,
-            };
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Programmatic override of the `USET_INTERN` knob (tests and benches;
-/// avoids `set_var` races under the threaded test harness).
+/// Interning is always on; there is nothing to switch. This stays only
+/// for callers written when it could be switched off, which pin it on.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    assert!(on, "interning is always on");
 }
 
 /// Rough per-node heap footprint used for `bytes_shared_estimate`.
@@ -681,15 +655,12 @@ impl Pool {
 }
 
 /// The cached [`Meta`] of `v` when this thread has already interned it
-/// (whole-value memo hit) and the knob is on. Deliberately read-only:
-/// a metadata query must never be the *reason* a value gets interned —
-/// on enumeration-heavy paths most values are seen exactly once, and
-/// interning each would cost a full locked tree walk to answer a
-/// question a plain early-exit walk answers cheaper.
+/// (whole-value memo hit). Deliberately read-only: a metadata query must
+/// never be the *reason* a value gets interned — on enumeration-heavy
+/// paths most values are seen exactly once, and interning each would
+/// cost a full locked tree walk to answer a question a plain early-exit
+/// walk answers cheaper.
 fn memo_meta(v: &Value) -> Option<Meta> {
-    if !enabled() {
-        return None;
-    }
     if let Value::Atom(a) = v {
         return Some(atom_meta(*a));
     }
@@ -697,9 +668,9 @@ fn memo_meta(v: &Value) -> Option<Meta> {
     Some(Pool::global().meta(r))
 }
 
-/// Gated fast path for [`Value::size`]: answered from cached metadata
-/// when interning is on and the value is already pooled on this thread,
-/// the plain recursive walk otherwise.
+/// Fast path for [`Value::size`]: answered from cached metadata when the
+/// value is already pooled on this thread, the plain recursive walk
+/// otherwise.
 pub fn fast_size(v: &Value) -> usize {
     match memo_meta(v) {
         Some(m) => m.size as usize,
@@ -707,9 +678,9 @@ pub fn fast_size(v: &Value) -> usize {
     }
 }
 
-/// Gated fast path for [`Value::set_depth`] (the U031 invention-depth
-/// lint's hot query), answered from cached metadata when interning is
-/// on and the value is already pooled on this thread.
+/// Fast path for [`Value::set_depth`] (the U031 invention-depth lint's
+/// hot query), answered from cached metadata when the value is already
+/// pooled on this thread.
 pub fn fast_set_depth(v: &Value) -> usize {
     match memo_meta(v) {
         Some(m) => m.depth as usize,
@@ -717,9 +688,9 @@ pub fn fast_set_depth(v: &Value) -> usize {
     }
 }
 
-/// Gated fast path for "does `v` mention an invented surrogate atom" —
-/// the invention semantics' strip/witness test. Falls back to walking
-/// `adom` when interning is off or the value is not already pooled.
+/// Fast path for "does `v` mention an invented surrogate atom" — the
+/// invention semantics' strip/witness test. Falls back to walking `adom`
+/// when the value is not already pooled on this thread.
 pub fn fast_has_invented(v: &Value) -> bool {
     match memo_meta(v) {
         Some(m) => m.invented,
@@ -877,17 +848,28 @@ mod tests {
     }
 
     #[test]
-    fn knob_gates_fast_paths_not_correctness() {
-        let v = set([set([atom(77)]), atom(78)]);
-        let was = enabled();
-        set_enabled(true);
-        assert_eq!(fast_size(&v), v.size());
-        assert_eq!(fast_set_depth(&v), v.set_depth());
-        assert!(!fast_has_invented(&v));
+    fn fast_paths_agree_with_value_walks_before_and_after_interning() {
+        let mut inv = Inventor::new();
+        let surrogate = Value::Atom(inv.fresh());
+        for v in [
+            set([set([atom(77)]), atom(78)]),
+            set([tuple([atom(79), surrogate])]),
+        ] {
+            let invented = v.adom().into_iter().any(Inventor::is_invented);
+            // a memo miss walks the value; a memo hit reads cached meta
+            for _ in 0..2 {
+                assert_eq!(fast_size(&v), v.size());
+                assert_eq!(fast_set_depth(&v), v.set_depth());
+                assert_eq!(fast_has_invented(&v), invented);
+                pool().intern(&v);
+            }
+            assert!(memo_meta(&v).is_some(), "interned on this thread");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "interning is always on")]
+    fn set_enabled_refuses_to_switch_interning_off() {
         set_enabled(false);
-        assert_eq!(fast_size(&v), v.size());
-        assert_eq!(fast_set_depth(&v), v.set_depth());
-        assert!(!fast_has_invented(&v));
-        set_enabled(was);
     }
 }

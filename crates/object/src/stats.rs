@@ -11,13 +11,13 @@
 /// across strata — counters only ever accumulate).
 ///
 /// The first six fields are *work* counters: they measure what the engine
-/// logically did and must be bit-identical across representation choices
-/// (interning on/off, parallel widths, checkpoint resume). The `intern_*`
-/// fields are *advisory* pool-attribution counters: they describe how the
-/// hash-consing layer served that work, legitimately differ between an
-/// interned and a plain run (or across a kill/resume that re-warms the
-/// pool), and are therefore excluded from equality, `Display`, and the
-/// checkpoint codec.
+/// logically did and must be bit-identical across execution choices
+/// (parallel widths, checkpoint resume). The `intern_*` fields are
+/// *advisory* pool-attribution counters: they describe how the
+/// hash-consing layer served that work, legitimately differ between a
+/// cold and a warm pool (across runs in one process, or across a
+/// kill/resume that re-warms the pool), and are therefore excluded from
+/// equality, `Display`, and the checkpoint codec.
 #[derive(Clone, Copy, Debug, Default, Eq)]
 pub struct EvalStats {
     /// Fixpoint rounds executed.
@@ -47,9 +47,9 @@ pub struct EvalStats {
     pub bytes_shared_estimate: u64,
 }
 
-/// Equality covers the work counters only: interned and plain runs of
-/// the same program must compare equal even though their pool
-/// attribution differs.
+/// Equality covers the work counters only: runs of the same program
+/// against a cold and a warm pool must compare equal even though their
+/// pool attribution differs.
 impl PartialEq for EvalStats {
     fn eq(&self, other: &EvalStats) -> bool {
         self.rounds == other.rounds
