@@ -13,8 +13,9 @@
 //! carrying the environment at the last completed statement boundary as a
 //! partial-result snapshot.
 
-use crate::expr::{Expr, Pred};
+use crate::expr::{Expr, Operand, Pred};
 use crate::program::{Program, Stmt, ANS};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 use uset_guard::ckpt;
@@ -222,50 +223,8 @@ impl Evaluator {
             if !resumed_mid {
                 self.guard.step()?;
             }
-            match s {
-                Stmt::Assign(var, expr) => {
-                    let v = self.eval_expr(expr)?;
-                    self.env.insert(var.clone(), v);
-                    self.commit_top(pc + 1, false);
-                }
-                Stmt::While {
-                    out,
-                    result,
-                    cond,
-                    body,
-                } => {
-                    loop {
-                        let c = self.lookup(cond)?;
-                        if c.is_empty() {
-                            break;
-                        }
-                        let delta = c.len() as u64;
-                        self.guard.step()?;
-                        let round = self.guard.steps();
-                        let round_t0 = self.guard.trace().enabled().then(Instant::now);
-                        self.guard.trace().emit(|| TraceEvent::RoundStart {
-                            engine: ENGINE.into(),
-                            round,
-                            delta,
-                        });
-                        self.run_stmts(body)?;
-                        let env = &self.env;
-                        let value_hwm = self.guard.value_hwm() as u64;
-                        self.guard.trace().emit(|| TraceEvent::RoundEnd {
-                            engine: ENGINE.into(),
-                            round,
-                            delta,
-                            facts: env.values().map(Instance::len).sum::<usize>() as u64,
-                            value_hwm,
-                            wall_micros: round_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                        });
-                        self.commit_top(pc, true);
-                    }
-                    let r = self.lookup(result)?.clone();
-                    self.env.insert(out.clone(), r);
-                    self.commit_top(pc + 1, false);
-                }
-            }
+            self.run_stmt(s, Some(pc))?;
+            self.commit_top(pc + 1, false);
         }
         Ok(())
     }
@@ -273,128 +232,301 @@ impl Evaluator {
     fn run_stmts(&mut self, stmts: &[Stmt]) -> RunResult<()> {
         for s in stmts {
             self.guard.step()?;
-            match s {
-                Stmt::Assign(var, expr) => {
-                    let v = self.eval_expr(expr)?;
-                    self.env.insert(var.clone(), v);
-                }
-                Stmt::While {
-                    out,
-                    result,
-                    cond,
-                    body,
-                } => {
-                    // each iteration is one "round" in the trace: the
-                    // condition's size plays the role of the delta
-                    loop {
-                        let c = self.lookup(cond)?;
-                        if c.is_empty() {
-                            break;
-                        }
-                        let delta = c.len() as u64;
-                        self.guard.step()?;
-                        let round = self.guard.steps();
-                        let round_t0 = self.guard.trace().enabled().then(Instant::now);
-                        self.guard.trace().emit(|| TraceEvent::RoundStart {
-                            engine: ENGINE.into(),
-                            round,
-                            delta,
-                        });
-                        self.run_stmts(body)?;
-                        let env = &self.env;
-                        let value_hwm = self.guard.value_hwm() as u64;
-                        self.guard.trace().emit(|| TraceEvent::RoundEnd {
-                            engine: ENGINE.into(),
-                            round,
-                            delta,
-                            facts: env.values().map(Instance::len).sum::<usize>() as u64,
-                            value_hwm,
-                            wall_micros: round_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                        });
-                    }
-                    let r = self.lookup(result)?.clone();
-                    self.env.insert(out.clone(), r);
-                }
-            }
+            self.run_stmt(s, None)?;
         }
         Ok(())
     }
 
-    fn lookup(&self, var: &str) -> EvalResult<&Instance> {
-        self.env
-            .get(var)
-            .ok_or_else(|| EvalError::Unbound(var.to_owned()))
-    }
-
-    fn eval_expr(&mut self, expr: &Expr) -> RunResult<Instance> {
-        let out = match expr {
-            Expr::Var(v) => self.lookup(v)?.clone(),
-            Expr::Const(i) => i.clone(),
-            Expr::Union(a, b) => {
-                let x = self.eval_expr(a)?;
-                x.union(&self.eval_expr(b)?)
+    /// Execute one statement whose entry step is already charged.
+    /// `top_pc` is the statement's index when it is a top-level one:
+    /// each of its `while` iterations then ends with a commit that
+    /// resumes inside the loop.
+    fn run_stmt(&mut self, s: &Stmt, top_pc: Option<usize>) -> RunResult<()> {
+        match s {
+            Stmt::Assign(var, expr) => {
+                let v = eval_expr(&self.env, &mut self.guard, expr)?.into_owned();
+                self.env.insert(var.clone(), v);
             }
-            Expr::Diff(a, b) => {
-                let x = self.eval_expr(a)?;
-                x.difference(&self.eval_expr(b)?)
-            }
-            Expr::Intersect(a, b) => {
-                let x = self.eval_expr(a)?;
-                x.intersection(&self.eval_expr(b)?)
-            }
-            Expr::Product(a, b) => {
-                let x = self.eval_expr(a)?;
-                product(&x, &self.eval_expr(b)?)
-            }
-            Expr::Select(e, p) => select(&self.eval_expr(e)?, p),
-            Expr::Project(e, cols) => project(&self.eval_expr(e)?, cols),
-            Expr::Nest(e, cols) => nest(&self.eval_expr(e)?, cols),
-            Expr::Unnest(e, col) => unnest(&self.eval_expr(e)?, *col),
-            Expr::Powerset(e) => {
-                let inst = self.eval_expr(e)?;
-                // charge 2^n against the cap before materializing; n at or
-                // past the word width saturates instead of shifting out of
-                // range (a 63-member instance already predicts 2^63)
-                let predicted = match inst.len() {
-                    n if n >= usize::BITS as usize => usize::MAX,
-                    n => 1usize << n,
-                };
-                self.guard.check_value(predicted, None)?;
-                powerset(&inst)
-            }
-            Expr::SetCollapse(e) => set_collapse(&self.eval_expr(e)?),
-            Expr::Singleton(e) => Instance::from_values([self.eval_expr(e)?.to_set_value()]),
-            Expr::Wrap(e) => wrap(&self.eval_expr(e)?),
-            Expr::Unwrap(e) => unwrap_tuples(&self.eval_expr(e)?),
-            Expr::Undefine(e) => {
-                let inst = self.eval_expr(e)?;
-                if inst.is_empty() {
-                    return Err(EvalError::Undefined.into());
+            Stmt::While {
+                out,
+                result,
+                cond,
+                body,
+            } => {
+                // each iteration is one "round" in the trace: the
+                // condition's size plays the role of the delta
+                loop {
+                    let c = lookup(&self.env, cond)?;
+                    if c.is_empty() {
+                        break;
+                    }
+                    let delta = c.len() as u64;
+                    self.guard.step()?;
+                    let round = self.guard.steps();
+                    let round_t0 = self.guard.trace().enabled().then(Instant::now);
+                    self.guard.trace().emit(|| TraceEvent::RoundStart {
+                        engine: ENGINE.into(),
+                        round,
+                        delta,
+                    });
+                    self.run_stmts(body)?;
+                    let env = &self.env;
+                    let value_hwm = self.guard.value_hwm() as u64;
+                    self.guard.trace().emit(|| TraceEvent::RoundEnd {
+                        engine: ENGINE.into(),
+                        round,
+                        delta,
+                        facts: env.values().map(Instance::len).sum::<usize>() as u64,
+                        value_hwm,
+                        wall_micros: round_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
+                    });
+                    if let Some(pc) = top_pc {
+                        self.commit_top(pc, true);
+                    }
                 }
-                inst
+                let r = lookup(&self.env, result)?.clone();
+                self.env.insert(out.clone(), r);
             }
-        };
-        self.guard.check_value(out.len(), None)?;
-        Ok(out)
+        }
+        Ok(())
     }
 }
 
-/// Coerce a member to tuple components (non-tuples act as 1-tuples).
-fn components(v: &Value) -> Vec<Value> {
+fn lookup<'e>(env: &'e HashMap<String, Instance>, var: &str) -> EvalResult<&'e Instance> {
+    env.get(var)
+        .ok_or_else(|| EvalError::Unbound(var.to_owned()))
+}
+
+/// Evaluate an expression. Expressions read the environment but never
+/// write it, so variables and constants are borrowed, not cloned; every
+/// result is charged to the guard's value-size cap by its length.
+fn eval_expr<'e>(
+    env: &'e HashMap<String, Instance>,
+    guard: &mut Guard,
+    expr: &'e Expr,
+) -> RunResult<Cow<'e, Instance>> {
+    let mut eval = |e: &'e Expr| -> RunResult<Cow<'e, Instance>> { eval_expr(env, guard, e) };
+    let out = match expr {
+        Expr::Var(v) => Cow::Borrowed(lookup(env, v)?),
+        Expr::Const(i) => Cow::Borrowed(i),
+        Expr::Union(a, b) => {
+            let x = eval(a)?;
+            Cow::Owned(x.union(&*eval(b)?))
+        }
+        Expr::Diff(a, b) => {
+            let x = eval(a)?;
+            Cow::Owned(x.difference(&*eval(b)?))
+        }
+        Expr::Intersect(a, b) => {
+            let x = eval(a)?;
+            Cow::Owned(x.intersection(&*eval(b)?))
+        }
+        Expr::Product(a, b) => {
+            let x = eval(a)?;
+            Cow::Owned(product(&x, &*eval(b)?))
+        }
+        Expr::Select(e, p) => match &**e {
+            Expr::Product(a, b) => {
+                let x = eval(a)?;
+                let y = eval(b)?;
+                Cow::Owned(select_product(guard, &x, &y, p)?)
+            }
+            _ => Cow::Owned(select(&*eval(e)?, p)),
+        },
+        Expr::Project(e, cols) => Cow::Owned(project(&*eval(e)?, cols)),
+        Expr::Nest(e, cols) => Cow::Owned(nest(&*eval(e)?, cols)),
+        Expr::Unnest(e, col) => Cow::Owned(unnest(&*eval(e)?, *col)),
+        Expr::Powerset(e) => {
+            let inst = eval(e)?;
+            // charge 2^n against the cap before materializing; n at or
+            // past the word width saturates instead of shifting out of
+            // range (a 63-member instance already predicts 2^63)
+            let predicted = match inst.len() {
+                n if n >= usize::BITS as usize => usize::MAX,
+                n => 1usize << n,
+            };
+            guard.check_value(predicted, None)?;
+            Cow::Owned(powerset(&inst))
+        }
+        Expr::SetCollapse(e) => Cow::Owned(set_collapse(&*eval(e)?)),
+        Expr::Singleton(e) => Cow::Owned(Instance::from_values([eval(e)?.to_set_value()])),
+        Expr::Wrap(e) => Cow::Owned(wrap(&*eval(e)?)),
+        Expr::Unwrap(e) => Cow::Owned(unwrap_tuples(&*eval(e)?)),
+        Expr::Undefine(e) => {
+            let inst = eval(e)?;
+            if inst.is_empty() {
+                return Err(EvalError::Undefined.into());
+            }
+            inst
+        }
+    };
+    guard.check_value(out.len(), None)?;
+    Ok(out)
+}
+
+/// `σ_p(x × y)`. The product is charged to the guard at its exact size
+/// before anything is built, as if it had been materialized; when
+/// [`EquiJoin::plan`] applies only the rows that pass `p` are then
+/// built, otherwise the product is materialized and filtered.
+fn select_product(
+    guard: &mut Guard,
+    x: &Instance,
+    y: &Instance,
+    p: &Pred,
+) -> Result<Instance, Trip> {
+    match EquiJoin::plan(x, p) {
+        Some(join) => {
+            guard.check_value(join.product_len(x, y), None)?;
+            Ok(join.run(x, y))
+        }
+        None => {
+            let prod = product(x, y);
+            guard.check_value(prod.len(), None)?;
+            Ok(select(&prod, p))
+        }
+    }
+}
+
+/// The tuple components of a product operand's member (a non-tuple acts
+/// as a 1-tuple).
+fn components(v: &Value) -> &[Value] {
     match v {
-        Value::Tuple(items) => items.clone(),
-        other => vec![other.clone()],
+        Value::Tuple(items) => items,
+        other => std::slice::from_ref(other),
+    }
+}
+
+/// `σ_p(x × y)` as a hash join, for `p` with a conjunct `Col i = Col j`
+/// and a left operand whose members all have one shape — all tuples of
+/// one arity, or all non-tuples. Every product row then splits at the
+/// same column `width`, so each of `i`, `j` reads a fixed side and the
+/// product's size is exact without building it.
+struct EquiJoin<'p> {
+    /// Row width contributed by each member of the left operand.
+    width: usize,
+    /// The equated columns.
+    cols: (usize, usize),
+    /// The other conjuncts of `p`, checked on each joined row.
+    rest: Vec<&'p Pred>,
+}
+
+impl<'p> EquiJoin<'p> {
+    fn plan(x: &Instance, p: &'p Pred) -> Option<EquiJoin<'p>> {
+        fn conjuncts<'p>(p: &'p Pred, out: &mut Vec<&'p Pred>) {
+            match p {
+                Pred::And(a, b) => {
+                    conjuncts(a, out);
+                    conjuncts(b, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut rest = Vec::new();
+        conjuncts(p, &mut rest);
+        let k = rest
+            .iter()
+            .position(|c| matches!(c, Pred::Eq(Operand::Col(_), Operand::Col(_))))?;
+        let Pred::Eq(Operand::Col(i), Operand::Col(j)) = rest.remove(k) else {
+            unreachable!("position matched an equality of columns")
+        };
+        // `None` for a non-tuple member, else the tuple's arity
+        let shape = |v: &Value| v.as_tuple().map(<[Value]>::len);
+        let mut members = x.iter();
+        let width = match members.next() {
+            None => 0,
+            Some(first) => {
+                let s = shape(first);
+                if !members.all(|m| shape(m) == s) {
+                    return None;
+                }
+                s.unwrap_or(1)
+            }
+        };
+        Some(EquiJoin {
+            width,
+            cols: (*i, *j),
+            rest,
+        })
+    }
+
+    /// `|x × y|`: the left components determine the left member, so two
+    /// rows coincide only when `y` holds both a non-tuple `v` and `[v]`.
+    fn product_len(&self, x: &Instance, y: &Instance) -> usize {
+        if x.is_empty() {
+            return 0;
+        }
+        let aliased = y
+            .iter()
+            .filter(|v| {
+                v.as_tuple().is_none() && y.values().contains(&Value::Tuple(vec![(*v).clone()]))
+            })
+            .count();
+        x.len() * (y.len() - aliased)
+    }
+
+    fn run(&self, x: &Instance, y: &Instance) -> Instance {
+        let mut out = Instance::empty();
+        let mut emit = |l: &[Value], r: &[Value]| {
+            let mut row = Vec::with_capacity(l.len() + r.len());
+            row.extend_from_slice(l);
+            row.extend_from_slice(r);
+            let row = Value::Tuple(row);
+            if self.rest.iter().all(|c| c.eval(&row) == Some(true)) {
+                out.insert(row);
+            }
+        };
+        let w = self.width;
+        let (i, j) = self.cols;
+        match (i.checked_sub(w), j.checked_sub(w)) {
+            // both columns on the left: filter x, pair with all of y
+            (None, None) => {
+                for l in x.iter().map(components).filter(|l| l[i] == l[j]) {
+                    for r in y.iter().map(components) {
+                        emit(l, r);
+                    }
+                }
+            }
+            // both on the right: filter y, pair with all of x
+            (Some(i), Some(j)) => {
+                let ys: Vec<&[Value]> = y
+                    .iter()
+                    .map(components)
+                    .filter(|r| matches!((r.get(i), r.get(j)), (Some(a), Some(b)) if a == b))
+                    .collect();
+                for l in x.iter().map(components) {
+                    for &r in &ys {
+                        emit(l, r);
+                    }
+                }
+            }
+            // one on each side: index y by its column, probe with x's
+            (None, Some(rc)) | (Some(rc), None) => {
+                let lc = if i < w { i } else { j };
+                let mut index: HashMap<&Value, Vec<&[Value]>> = HashMap::new();
+                for r in y.iter().map(components) {
+                    if let Some(key) = r.get(rc) {
+                        index.entry(key).or_default().push(r);
+                    }
+                }
+                for l in x.iter().map(components) {
+                    for &r in index.get(&l[lc]).into_iter().flatten() {
+                        emit(l, r);
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
 /// Cartesian product with tuple concatenation.
 pub fn product(a: &Instance, b: &Instance) -> Instance {
     let mut out = Instance::empty();
-    for x in a.iter() {
-        let xs = components(x);
-        for y in b.iter() {
-            let mut row = xs.clone();
-            row.extend(components(y));
+    for xs in a.iter().map(components) {
+        for ys in b.iter().map(components) {
+            let mut row = Vec::with_capacity(xs.len() + ys.len());
+            row.extend_from_slice(xs);
+            row.extend_from_slice(ys);
             out.insert(Value::Tuple(row));
         }
     }
@@ -475,7 +607,7 @@ pub fn unnest(inst: &Instance, col: usize) -> Instance {
         for member in set {
             let mut row: Vec<Value> = Vec::with_capacity(items.len() + 1);
             row.extend(items[..col].iter().cloned());
-            row.extend(components(member));
+            row.extend_from_slice(components(member));
             row.extend(items[col + 1..].iter().cloned());
             out.insert(Value::Tuple(row));
         }
@@ -587,7 +719,6 @@ pub fn eval_program_governed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Operand;
     use uset_object::{atom, set, tuple};
 
     fn db_r(rows: Vec<Vec<Value>>) -> Database {
@@ -909,6 +1040,60 @@ mod tests {
             Stmt::assign(ANS, Expr::var("z").union(Expr::var("z"))),
         ]);
         assert_eq!(run(prog, &db).unwrap(), db.get("R"));
+    }
+
+    #[test]
+    fn joined_select_trips_like_the_materialized_product() {
+        use uset_guard::Resource;
+        // a uniform left operand (joined by hash) against a right one that
+        // holds a bare value next to its own 1-tuple: the two build the
+        // same product rows, so |A × B| = 3 × 3, not 3 × 4
+        let a = Instance::from_rows([[atom(1), atom(2)], [atom(2), atom(3)], [atom(3), atom(4)]]);
+        let b = Instance::from_values([
+            atom(2),
+            tuple([atom(2)]),
+            tuple([atom(3), atom(5)]),
+            tuple([atom(4), atom(6), atom(7)]),
+        ]);
+        let full = product(&a, &b).len();
+        assert_eq!(full, 9);
+        let mut db = Database::empty();
+        db.set("A", a);
+        db.set("B", b);
+        let prog = |p: Pred| {
+            Program::new(vec![
+                Stmt::assign("x", Expr::var("A")),
+                Stmt::assign(ANS, Expr::var("x").product(Expr::var("B")).select(p)),
+            ])
+        };
+        let joined = prog(Pred::eq_cols(1, 2));
+        // a disjunction is not joined: this one materializes the product
+        let materialized = prog(Pred::eq_cols(1, 2).or(Pred::eq_cols(1, 2)));
+        let run = |prog: &Program, cap: usize| {
+            let gov = Governor::new(Budget::unlimited().with_value_size(cap));
+            eval_program_governed(prog, &db, &gov)
+        };
+        let tripped = run(&joined, full - 1);
+        match &tripped {
+            Err(EvalError::Exhausted(e)) => {
+                assert_eq!(e.trip.resource, Resource::ValueSize);
+                assert_eq!(e.trip.consumed, full as u64);
+                assert_eq!(e.partial.env["x"], db.get("A"));
+            }
+            other => panic!("expected Exhausted(ValueSize), got {other:?}"),
+        }
+        assert_eq!(tripped, run(&materialized, full - 1));
+        // at exactly the product's size both complete, with one answer
+        let answer = run(&joined, full).unwrap();
+        assert_eq!(
+            answer,
+            Instance::from_values([
+                tuple([atom(1), atom(2), atom(2)]),
+                tuple([atom(2), atom(3), atom(3), atom(5)]),
+                tuple([atom(3), atom(4), atom(4), atom(6), atom(7)]),
+            ])
+        );
+        assert_eq!(answer, run(&materialized, full).unwrap());
     }
 
     #[test]

@@ -95,25 +95,6 @@ impl ColumnIndex {
         }
     }
 
-    /// Remove one row from the buckets (the inverse of
-    /// [`ColumnIndex::insert`]); a no-op for rows that were never
-    /// indexable. Contents only — stamp adoption is the caller's job.
-    pub fn remove(&mut self, row: &Value) {
-        let Some(key) = nth_column(row, self.key_col) else {
-            return;
-        };
-        let id = Pool::global().intern(key);
-        if let Some(bucket) = self.buckets.get_mut(&id) {
-            if let Some(pos) = bucket.iter().position(|r| r == row) {
-                bucket.swap_remove(pos);
-                self.rows_indexed -= 1;
-                if bucket.is_empty() {
-                    self.buckets.remove(&id);
-                }
-            }
-        }
-    }
-
     /// All rows whose keyed component equals `key`.
     pub fn probe(&self, key: &Value) -> &[Value] {
         self.buckets
@@ -255,21 +236,6 @@ mod tests {
         idx.insert(&Value::Tuple(vec![]));
         assert!(idx.is_empty());
         assert!(idx.probe(&atom(5)).is_empty());
-    }
-
-    #[test]
-    fn remove_is_the_inverse_of_insert() {
-        let mut idx = ColumnIndex::build(&rel());
-        idx.remove(&tuple([atom(1), atom(10)]));
-        assert_eq!(idx.len(), 2);
-        assert_eq!(idx.probe(&atom(1)), &[tuple([atom(1), atom(11)])]);
-        // removing the last row of a key empties its bucket
-        idx.remove(&tuple([atom(2), atom(20)]));
-        assert!(idx.probe(&atom(2)).is_empty());
-        // unknown and non-tuple rows are clean no-ops
-        idx.remove(&tuple([atom(9), atom(9)]));
-        idx.remove(&atom(5));
-        assert_eq!(idx.len(), 1);
     }
 
     #[test]

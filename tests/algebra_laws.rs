@@ -8,7 +8,7 @@ use untyped_sets::algebra::eval::{
     nest, powerset, product, project, select, set_collapse, unnest, wrap,
 };
 use untyped_sets::algebra::opt::optimize;
-use untyped_sets::algebra::{eval_program, EvalConfig, Expr, Pred, Program, Stmt};
+use untyped_sets::algebra::{eval_program, EvalConfig, EvalError, Expr, Pred, Program, Stmt};
 use untyped_sets::object::{Atom, Database, Instance, Value};
 
 fn arb_flat_relation(arity: usize) -> impl Strategy<Value = Instance> {
@@ -19,6 +19,33 @@ fn arb_flat_relation(arity: usize) -> impl Strategy<Value = Instance> {
                 .collect::<Vec<_>>()
         }))
     })
+}
+
+fn arb_atom() -> impl Strategy<Value = Value> {
+    (0u64..3).prop_map(|i| Value::Atom(Atom::new(i)))
+}
+
+/// Relations of mixed arity: bare atoms and 1-, 2- and 3-tuples over few
+/// atoms, so bare values often sit next to their own 1-tuples.
+fn arb_mixed_relation() -> impl Strategy<Value = Instance> {
+    let member = prop_oneof![
+        arb_atom(),
+        arb_atom().prop_map(|x| Value::Tuple(vec![x])),
+        (arb_atom(), arb_atom()).prop_map(|(x, y)| Value::Tuple(vec![x, y])),
+        (arb_atom(), arb_atom(), arb_atom()).prop_map(|(x, y, z)| Value::Tuple(vec![x, y, z])),
+    ];
+    prop::collection::vec(member, 0..7).prop_map(Instance::from_values)
+}
+
+/// The left operand of a join: one arity (the shape the evaluator joins
+/// by hash) or mixed (the shape it materializes).
+fn arb_join_operand() -> impl Strategy<Value = Instance> {
+    prop_oneof![
+        prop::collection::vec(arb_atom(), 0..5).prop_map(Instance::from_values),
+        arb_flat_relation(1),
+        arb_flat_relation(2),
+        arb_mixed_relation(),
+    ]
 }
 
 proptest! {
@@ -150,5 +177,48 @@ proptest! {
             eval_program(&prog, &db, &cfg).unwrap(),
             eval_program(&flat, &db, &cfg).unwrap()
         );
+    }
+
+    /// σ over × agrees with the materialized product, for equalities of
+    /// columns on one side or across the two, alone or with other
+    /// conjuncts; and the governed run trips one below the product's size
+    /// with exactly that size consumed.
+    #[test]
+    fn select_over_product_is_a_join(
+        a in arb_join_operand(),
+        b in arb_mixed_relation(),
+        cols in (0usize..5, 0usize..5, 0usize..5),
+    ) {
+        let (i, j, k) = cols;
+        let one = || Value::Atom(Atom::new(1));
+        let preds = [
+            Pred::eq_cols(i, j),
+            Pred::eq_cols(i, j).and(Pred::eq_const(k, one())),
+            Pred::eq_const(k, one()).not().and(Pred::eq_cols(i, j)),
+            Pred::eq_cols(i, j).and(Pred::eq_cols(j, k)),
+        ];
+        let mut db = Database::empty();
+        db.set("A", a.clone());
+        db.set("B", b.clone());
+        let full = product(&a, &b);
+        for p in preds {
+            let prog = Program::new(vec![Stmt::assign(
+                "ANS",
+                Expr::var("A").product(Expr::var("B")).select(p.clone()),
+            )]);
+            prop_assert_eq!(
+                eval_program(&prog, &db, &EvalConfig::default()).unwrap(),
+                select(&full, &p)
+            );
+            if full.len() > a.len().max(b.len()) {
+                let cap = EvalConfig { max_instance_len: full.len() - 1, ..EvalConfig::default() };
+                match eval_program(&prog, &db, &cap) {
+                    Err(EvalError::Exhausted(e)) => {
+                        prop_assert_eq!(e.trip.consumed, full.len() as u64)
+                    }
+                    other => prop_assert!(false, "expected a value-size trip, got {:?}", other),
+                }
+            }
+        }
     }
 }
