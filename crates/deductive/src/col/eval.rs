@@ -41,12 +41,12 @@
 
 use crate::col::ast::{ColHead, ColLiteral, ColProgram, ColRule, ColTerm};
 use crate::col::stratify::stratify;
-use crate::fixpoint::{self, Derived, Engine, Mark, Probes, Resume, RuleClass, Unit};
 use crate::plan::{slot_of, Bound, DeltaJoin, Frame};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use uset_guard::ckpt;
+use uset_guard::rounds::{self, Derived, Engine, Mark, Probes, Resume, RuleClass, Unit};
 use uset_guard::{Budget, EngineId, Exhausted, Governor, ParBrake};
 use uset_object::{Database, EvalStats, IndexSet, Instance, Pool, RType, Value};
 use uset_par::shard_of;
@@ -1315,9 +1315,10 @@ fn governed(
         .iter()
         .map(|rules| rules.iter().map(|&i| (i, &plans[i])).collect())
         .collect();
-    fixpoint::run(&engine, governor, stats, fingerprint, &strata, || {
+    let run = rounds::run(&engine, governor, stats, fingerprint, &strata, || {
         ColState::from_database(db)
-    })
+    });
+    run.map(|(state, _converged)| state)
 }
 
 /// Stratified semantics: strata evaluated bottom-up, each to its least

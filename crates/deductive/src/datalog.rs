@@ -13,11 +13,11 @@
 //! inflationary DATALOG¬ — the asymmetry that Theorem 5.1 shows disappears
 //! for COL with untyped sets.
 
-use crate::fixpoint::{self, Derived, Engine, Mark, Probes, Resume, RuleClass, Unit};
 use crate::plan::{slot_of, DeltaJoin, DlPlan, IdIndex, Read};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use uset_guard::ckpt;
+use uset_guard::rounds::{self, Derived, Engine, Mark, Probes, Resume, RuleClass, Unit};
 use uset_guard::{Budget, EngineId, Exhausted, Governor, ParBrake};
 use uset_object::intern::FxBuildHasher;
 use uset_object::{Database, EvalStats, Instance, ObjRef, Pool, Value};
@@ -337,9 +337,10 @@ impl DatalogProgram {
             .iter()
             .map(|rules| rules.iter().map(|&i| (i, &plans[i])).collect())
             .collect();
-        fixpoint::run(&engine, governor, stats, fingerprint, &strata, || {
+        let run = rounds::run(&engine, governor, stats, fingerprint, &strata, || {
             db.clone()
-        })
+        });
+        run.map(|(db, _converged)| db)
     }
 }
 

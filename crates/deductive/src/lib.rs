@@ -21,7 +21,6 @@
 pub mod chain;
 pub mod col;
 pub mod datalog;
-mod fixpoint;
 pub mod plan;
 
 pub use col::ast::{ColHead, ColLiteral, ColProgram, ColRule, ColTerm};

@@ -31,6 +31,9 @@
 //! * [`FailPoint`] — deterministic fault injection: trip an arbitrary
 //!   resource (or cancellation) at the N-th progress tick, so tests can
 //!   exercise mid-round exhaustion and recovery without racing timers.
+//! * [`rounds`] — the round driver the rule engines (DATALOG¬, COL, BK)
+//!   share: it composes the guard, the trace spans, the checkpoint
+//!   session and the worker pool into one round loop.
 //!
 //! The governor also carries the observability layer: a
 //! [`TraceHandle`] (from `uset-trace`, re-exported here as [`trace`])
@@ -49,6 +52,8 @@ pub use uset_par::ParConfig;
 pub use uset_trace as trace;
 use uset_trace::TraceEvent;
 pub use uset_trace::TraceHandle;
+
+pub mod rounds;
 
 /// Which engine tripped the budget (error provenance).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
