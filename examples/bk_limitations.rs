@@ -5,6 +5,7 @@
 //!
 //! ```sh
 //! cargo run --example bk_limitations
+//! USET_TRACE=json:/tmp/bk.jsonl cargo run --example bk_limitations
 //! ```
 
 use std::collections::BTreeMap;
@@ -14,6 +15,7 @@ use untyped_sets::bk::eval::{
 use untyped_sets::bk::limits::{natural_join, search_join_programs, transform_derivation};
 use untyped_sets::bk::{BkObject, BkProgram};
 use untyped_sets::guard::{Budget, Governor};
+use untyped_sets::trace::TraceHandle;
 
 fn pair(a: &'static str, x: BkObject, b: &'static str, y: BkObject) -> BkObject {
     BkObject::tuple([(a, x), (b, y)])
@@ -27,6 +29,9 @@ fn governed_exit(report: impl std::fmt::Display) -> ! {
 }
 
 fn main() {
+    // one shared sink for both runs: USET_TRACE=off|mem|json:<path>
+    let trace = TraceHandle::from_env();
+
     // ---- Example 5.2 -----------------------------------------------------
     let state = state_from([
         (
@@ -43,7 +48,7 @@ fn main() {
     ]);
     let prog = BkProgram::join_rule();
     let cfg = BkConfig::default();
-    let governor = Governor::new(Budget::from_env().min(cfg.budget()));
+    let governor = Governor::new(Budget::from_env().min(cfg.budget())).with_trace(trace.clone());
     let (out, derivations) = match eval_fixpoint_governed(&prog, &state, &cfg, &governor) {
         Ok(r) => r,
         Err(BkError::Exhausted(report)) => governed_exit(report),
@@ -93,7 +98,7 @@ fn main() {
         max_facts: 100_000,
         ..BkConfig::default()
     };
-    let governor = Governor::new(Budget::from_env().min(cfg.budget()));
+    let governor = Governor::new(Budget::from_env().min(cfg.budget())).with_trace(trace.clone());
     let (st, _, converged) = match eval_rounds_governed(&chain_prog, &chain_state, &cfg, &governor)
     {
         Ok(r) => r,
