@@ -18,14 +18,12 @@ use crate::program::{Program, Stmt, ANS};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
-use uset_guard::ckpt;
-use uset_guard::trace::span::{engine_end, engine_start};
 use uset_guard::trace::TraceEvent;
-use uset_guard::{Budget, EngineId, Exhausted, Governor, Guard, Trip};
+use uset_guard::{ckpt, Budget, EngineId, Exhausted, Governed, Governor, Guard, Trip};
 use uset_object::{Database, EvalStats, Instance, Value};
 
 /// Engine label carried by every algebra trace event.
-const ENGINE: &str = "algebra";
+const ENGINE: EngineId = EngineId::Algebra;
 
 /// Evaluation limits — a thin shim kept for source compatibility; new
 /// code should pass a [`uset_guard::Governor`] to
@@ -139,22 +137,9 @@ impl From<EvalError> for RunErr {
 
 type RunResult<T> = Result<T, RunErr>;
 
-/// The loop state an algebra checkpoint restores: the index of the next
-/// top-level statement, whether execution stopped *inside* that
-/// statement's `while` loop (the loop is condition-driven, so the
-/// restored environment alone determines the remaining iterations), and
-/// the environment itself. Commits happen at top-level statement and
-/// top-level while-iteration boundaries; statements nested in a loop
-/// body execute atomically between commits.
-struct AlgResume {
-    pc: usize,
-    in_while: bool,
-    env: BTreeMap<String, Instance>,
-}
-
 fn alg_fingerprint(prog: &Program, db: &Database) -> u64 {
     let mut e = ckpt::Enc::new();
-    e.put_str(ENGINE);
+    e.put_str(ENGINE.as_str());
     e.put_str(&format!("{prog:?}"));
     e.put_database(db);
     ckpt::fnv64(&e.finish())
@@ -168,49 +153,57 @@ fn alg_encode(pc: usize, in_while: bool, env: &BTreeMap<String, Instance>) -> Ve
     e.finish()
 }
 
-fn alg_decode(payload: &[u8]) -> Option<AlgResume> {
-    let mut d = ckpt::Dec::new(payload);
+/// The loop state an algebra checkpoint restores: the index of the next
+/// top-level statement, whether execution stopped *inside* that
+/// statement's `while` loop (the loop is condition-driven, so the
+/// restored environment alone determines the remaining iterations), the
+/// environment itself, and the commit count. Commits happen at top-level
+/// statement and top-level while-iteration boundaries; statements nested
+/// in a loop body execute atomically between commits.
+fn alg_decode(rec: &ckpt::Recovered) -> Option<(usize, bool, Env, u64)> {
+    let mut d = ckpt::Dec::new(&rec.payload);
     let pc = d.u64().ok()? as usize;
     let in_while = d.u8().ok()? != 0;
-    let env = d.instance_map().ok()?;
-    d.done().then_some(AlgResume { pc, in_while, env })
+    let env = d.instance_map().ok()?.into_iter().collect();
+    d.done().then_some((pc, in_while, env, rec.round))
 }
 
-struct Evaluator {
-    env: HashMap<String, Instance>,
-    guard: Guard,
-    session: Option<ckpt::Session>,
+/// Variable → instance bindings during a run.
+type Env = HashMap<String, Instance>;
+
+struct Evaluator<'r> {
+    env: Env,
+    run: &'r mut Governed,
     /// Commit sequence number, the durable round id: a statement boundary
     /// and the last iteration of its `while` can share a step count, so
     /// the strictly-monotone round id is a plain counter.
     commits: u64,
 }
 
-impl Evaluator {
+impl Evaluator<'_> {
+    /// Work counters, synthesized from the meters: the steps charged and
+    /// the largest instance bound.
+    fn stats(&self) -> EvalStats {
+        EvalStats {
+            rounds: self.run.guard.steps(),
+            peak_facts: self.env.values().map(Instance::len).max().unwrap_or(0),
+            ..EvalStats::default()
+        }
+    }
+
     /// Commit the environment at a top-level boundary. `pc` is the next
     /// top-level statement to run; `in_while` resumes inside `pc`'s loop
     /// instead of at its entry (skipping the statement-entry step charge
     /// that was already paid before the first committed iteration).
     fn commit_top(&mut self, pc: usize, in_while: bool) {
-        if self.session.is_none() {
-            return;
-        }
         self.commits += 1;
-        let env: BTreeMap<String, Instance> = self
-            .env
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let stats = EvalStats {
-            rounds: self.guard.steps(),
-            peak_facts: env.values().map(Instance::len).max().unwrap_or(0),
-            ..EvalStats::default()
-        };
-        let payload = alg_encode(pc, in_while, &env);
-        let rc = self.guard.round_ckpt(self.commits, &stats, payload);
-        if let Some(sess) = self.session.as_mut() {
-            sess.commit(&rc);
-        }
+        let stats = self.stats();
+        let env = &self.env;
+        self.run.commit(self.commits, &stats, || {
+            let env: BTreeMap<String, Instance> =
+                env.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            alg_encode(pc, in_while, &env)
+        });
     }
 
     /// Top-level statement driver: [`Evaluator::run_stmts`] plus a resume
@@ -221,7 +214,7 @@ impl Evaluator {
         for (pc, s) in stmts.iter().enumerate().skip(start) {
             let resumed_mid = std::mem::take(&mut mid_while);
             if !resumed_mid {
-                self.guard.step()?;
+                self.run.guard.step()?;
             }
             self.run_stmt(s, Some(pc))?;
             self.commit_top(pc + 1, false);
@@ -231,7 +224,7 @@ impl Evaluator {
 
     fn run_stmts(&mut self, stmts: &[Stmt]) -> RunResult<()> {
         for s in stmts {
-            self.guard.step()?;
+            self.run.guard.step()?;
             self.run_stmt(s, None)?;
         }
         Ok(())
@@ -244,7 +237,7 @@ impl Evaluator {
     fn run_stmt(&mut self, s: &Stmt, top_pc: Option<usize>) -> RunResult<()> {
         match s {
             Stmt::Assign(var, expr) => {
-                let v = eval_expr(&self.env, &mut self.guard, expr)?.into_owned();
+                let v = eval_expr(&self.env, &mut self.run.guard, expr)?.into_owned();
                 self.env.insert(var.clone(), v);
             }
             Stmt::While {
@@ -261,19 +254,19 @@ impl Evaluator {
                         break;
                     }
                     let delta = c.len() as u64;
-                    self.guard.step()?;
-                    let round = self.guard.steps();
-                    let round_t0 = self.guard.trace().enabled().then(Instant::now);
-                    self.guard.trace().emit(|| TraceEvent::RoundStart {
-                        engine: ENGINE.into(),
+                    self.run.guard.step()?;
+                    let round = self.run.guard.steps();
+                    let round_t0 = self.run.guard.trace().enabled().then(Instant::now);
+                    self.run.guard.trace().emit(|| TraceEvent::RoundStart {
+                        engine: ENGINE.as_str().into(),
                         round,
                         delta,
                     });
                     self.run_stmts(body)?;
                     let env = &self.env;
-                    let value_hwm = self.guard.value_hwm() as u64;
-                    self.guard.trace().emit(|| TraceEvent::RoundEnd {
-                        engine: ENGINE.into(),
+                    let value_hwm = self.run.guard.value_hwm() as u64;
+                    self.run.guard.trace().emit(|| TraceEvent::RoundEnd {
+                        engine: ENGINE.as_str().into(),
                         round,
                         delta,
                         facts: env.values().map(Instance::len).sum::<usize>() as u64,
@@ -292,7 +285,7 @@ impl Evaluator {
     }
 }
 
-fn lookup<'e>(env: &'e HashMap<String, Instance>, var: &str) -> EvalResult<&'e Instance> {
+fn lookup<'e>(env: &'e Env, var: &str) -> EvalResult<&'e Instance> {
     env.get(var)
         .ok_or_else(|| EvalError::Unbound(var.to_owned()))
 }
@@ -300,11 +293,7 @@ fn lookup<'e>(env: &'e HashMap<String, Instance>, var: &str) -> EvalResult<&'e I
 /// Evaluate an expression. Expressions read the environment but never
 /// write it, so variables and constants are borrowed, not cloned; every
 /// result is charged to the guard's value-size cap by its length.
-fn eval_expr<'e>(
-    env: &'e HashMap<String, Instance>,
-    guard: &mut Guard,
-    expr: &'e Expr,
-) -> RunResult<Cow<'e, Instance>> {
+fn eval_expr<'e>(env: &'e Env, guard: &mut Guard, expr: &'e Expr) -> RunResult<Cow<'e, Instance>> {
     let mut eval = |e: &'e Expr| -> RunResult<Cow<'e, Instance>> { eval_expr(env, guard, e) };
     let out = match expr {
         Expr::Var(v) => Cow::Borrowed(lookup(env, v)?),
@@ -663,57 +652,29 @@ pub fn eval_program_governed(
     db: &Database,
     governor: &Governor,
 ) -> EvalResult<Instance> {
-    let mut guard = governor.guard(EngineId::Algebra);
-    let run_start = engine_start(ENGINE, &governor.trace);
-    let mut session = guard.ckpt_session(|| alg_fingerprint(prog, db));
-    let mut start = 0usize;
-    let mut mid_while = false;
-    let mut env: HashMap<String, Instance> =
-        db.iter().map(|(n, i)| (n.to_owned(), i.clone())).collect();
-    let mut commits = 0u64;
-    if let Some(sess) = session.as_mut() {
-        if let Some(rec) = sess.recover() {
-            if let Some(r) = alg_decode(&rec.payload) {
-                // algebra synthesizes its stats from the guard meters, so
-                // recovery only needs the meters restored
-                let mut stats = EvalStats::default();
-                guard.adopt_recovery(&rec, &mut stats);
-                start = r.pc;
-                mid_while = r.in_while;
-                env = r.env.into_iter().collect();
-                commits = rec.round;
+    // algebra synthesizes its stats from the guard meters, so recovery
+    // only needs the meters restored
+    let stats = &mut EvalStats::default();
+    let fingerprint = || alg_fingerprint(prog, db);
+    let mut env = governor.run(ENGINE, stats, fingerprint, alg_decode, |run, _, resume| {
+        let inputs = || db.iter().map(|(n, i)| (n.to_owned(), i.clone())).collect();
+        let (pc, in_while, env, commits) = resume.unwrap_or_else(|| (0, false, inputs(), 0));
+        let mut ev = Evaluator { env, run, commits };
+        match ev.run_top(&prog.stmts, pc, in_while) {
+            Ok(()) => Ok(ev.env),
+            Err(RunErr::Fail(e)) => Err(e),
+            Err(RunErr::Trip(trip)) => {
+                let stats = ev.stats();
+                let partial = PartialEnv {
+                    env: ev.env.into_iter().collect(),
+                };
+                Err(EvalError::Exhausted(Box::new(Exhausted::new(
+                    trip, partial, stats,
+                ))))
             }
         }
-    }
-    let mut ev = Evaluator {
-        env,
-        guard,
-        session,
-        commits,
-    };
-    match ev.run_top(&prog.stmts, start, mid_while) {
-        Ok(()) => {
-            engine_end(ENGINE, &governor.trace, ev.guard.steps(), run_start);
-            if let Some(sess) = ev.session.as_mut() {
-                sess.finish();
-            }
-            ev.env.remove(ANS).ok_or(EvalError::NoAnswer)
-        }
-        Err(RunErr::Fail(e)) => Err(e),
-        Err(RunErr::Trip(trip)) => {
-            let partial = PartialEnv {
-                env: ev.env.into_iter().collect(),
-            };
-            let stats = EvalStats {
-                rounds: ev.guard.steps(),
-                peak_facts: partial.env.values().map(Instance::len).max().unwrap_or(0),
-                ..EvalStats::default()
-            };
-            Err(EvalError::Exhausted(Box::new(Exhausted::new(
-                trip, partial, stats,
-            ))))
-        }
-    }
+    })?;
+    env.remove(ANS).ok_or(EvalError::NoAnswer)
 }
 
 #[cfg(test)]

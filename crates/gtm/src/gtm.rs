@@ -9,12 +9,11 @@
 //! other domain element matches `α`; on tape 2, the same element as tape 1
 //! matches `α` and a different one matches `β`).
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use uset_guard::ckpt;
-use uset_guard::trace::span::{engine_end, engine_start};
 use uset_guard::trace::TraceEvent;
-use uset_guard::{Budget, EngineId, Exhausted, Governor};
+use uset_guard::{ckpt, Budget, EngineId, Exhausted, Governor};
 use uset_object::{Atom, EvalStats};
 
 /// Engine label carried by every GTM trace event.
@@ -24,7 +23,7 @@ use uset_object::{Atom, EvalStats};
 /// [`TRACE_STRIDE`] steps (and none in between): `round` is the
 /// cumulative step count and `facts` is the longer tape's length —
 /// the same quantity the value-size cap governs.
-const ENGINE: &str = "gtm";
+const ENGINE: EngineId = EngineId::Gtm;
 
 /// Machine steps between strided `RoundEnd` trace events.
 const TRACE_STRIDE: u64 = 1024;
@@ -410,14 +409,6 @@ fn take_tape(d: &mut ckpt::Dec<'_>) -> Result<Vec<TapeSym>, ckpt::CodecError> {
     Ok(tape)
 }
 
-/// The loop state a GTM checkpoint restores: the machine [`Config`] plus
-/// the step counter, committed every [`TRACE_STRIDE`] machine steps
-/// (per-step commits would dominate the run).
-struct GtmResume {
-    cfg: Config,
-    steps: u64,
-}
-
 fn gtm_encode(cfg: &Config, steps: u64) -> Vec<u8> {
     let mut e = ckpt::Enc::new();
     e.put_u64(steps);
@@ -429,24 +420,25 @@ fn gtm_encode(cfg: &Config, steps: u64) -> Vec<u8> {
     e.finish()
 }
 
-fn gtm_decode(payload: &[u8]) -> Option<GtmResume> {
-    let mut d = ckpt::Dec::new(payload);
+/// The loop state a GTM checkpoint restores: the machine [`Config`] plus
+/// the step counter, committed every [`TRACE_STRIDE`] machine steps
+/// (per-step commits would dominate the run).
+fn gtm_decode(rec: &ckpt::Recovered) -> Option<(Config, u64)> {
+    let mut d = ckpt::Dec::new(&rec.payload);
     let steps = d.u64().ok()?;
     let state = d.str().ok()?;
     let tape1 = take_tape(&mut d).ok()?;
     let tape2 = take_tape(&mut d).ok()?;
     let head1 = d.u64().ok()? as usize;
     let head2 = d.u64().ok()? as usize;
-    d.done().then_some(GtmResume {
-        cfg: Config {
-            state,
-            tape1,
-            tape2,
-            head1,
-            head2,
-        },
-        steps,
-    })
+    let cfg = Config {
+        state,
+        tape1,
+        tape2,
+        head1,
+        head2,
+    };
+    d.done().then_some((cfg, steps))
 }
 
 impl Gtm {
@@ -520,70 +512,52 @@ impl Gtm {
         tape1: Vec<TapeSym>,
         governor: &Governor,
     ) -> Result<RunOutcome, Box<GtmExhausted>> {
-        let mut guard = governor.guard(EngineId::Gtm);
-        let trace = governor.trace.clone();
-        let run_start = engine_start(ENGINE, &trace);
-        let mut stats = EvalStats::default();
-        let mut cfg = self.initial_config(tape1);
-        let mut steps: u64 = 0;
-        let mut session = guard.ckpt_session(|| self.fingerprint(&cfg.tape1));
-        if let Some(sess) = session.as_mut() {
-            if let Some(rec) = sess.recover() {
-                if let Some(r) = gtm_decode(&rec.payload) {
-                    guard.adopt_recovery(&rec, &mut stats);
-                    cfg = r.cfg;
-                    steps = r.steps;
+        // the fingerprint reads the input tape, and a fresh run moves it
+        // into the machine's first configuration
+        let tape1 = RefCell::new(tape1);
+        let fingerprint = || self.fingerprint(&tape1.borrow());
+        let stats = &mut EvalStats::default();
+        governor.run(ENGINE, stats, fingerprint, gtm_decode, |run, stats, at| {
+            let trace = &governor.trace;
+            let (mut cfg, mut steps) = at.unwrap_or_else(|| (self.initial_config(tape1.take()), 0));
+            loop {
+                if cfg.state == self.halt {
+                    let mut out = cfg.tape1;
+                    while out.last() == Some(&TapeSym::blank()) {
+                        out.pop();
+                    }
+                    return Ok(RunOutcome::Halted(out));
+                }
+                let tape = cfg.tape1.len().max(cfg.tape2.len());
+                stats.observe_facts(tape);
+                let stepped = run.guard.step();
+                if let Err(trip) = stepped.and_then(|()| run.guard.check_value(tape, None)) {
+                    return Err(Box::new(Exhausted::new(trip, cfg, *stats)));
+                }
+                if !self.step(&mut cfg) {
+                    return Ok(RunOutcome::Stuck {
+                        state: cfg.state,
+                        steps,
+                    });
+                }
+                steps += 1;
+                stats.rounds += 1;
+                if steps.is_multiple_of(TRACE_STRIDE) {
+                    let round = run.guard.steps();
+                    let tape = cfg.tape1.len().max(cfg.tape2.len()) as u64;
+                    let value_hwm = run.guard.value_hwm() as u64;
+                    trace.emit(|| TraceEvent::RoundEnd {
+                        engine: ENGINE.as_str().into(),
+                        round,
+                        delta: TRACE_STRIDE,
+                        facts: tape,
+                        value_hwm,
+                        wall_micros: 0,
+                    });
+                    run.commit(steps, stats, || gtm_encode(&cfg, steps));
                 }
             }
-        }
-        loop {
-            if cfg.state == self.halt {
-                let mut out = cfg.tape1;
-                while out.last() == Some(&TapeSym::blank()) {
-                    out.pop();
-                }
-                engine_end(ENGINE, &trace, guard.steps(), run_start);
-                if let Some(sess) = session.as_mut() {
-                    sess.finish();
-                }
-                return Ok(RunOutcome::Halted(out));
-            }
-            stats.observe_facts(cfg.tape1.len().max(cfg.tape2.len()));
-            let charged = guard
-                .step()
-                .and_then(|()| guard.check_value(cfg.tape1.len().max(cfg.tape2.len()), None));
-            if let Err(trip) = charged {
-                return Err(Box::new(Exhausted::new(trip, cfg, stats)));
-            }
-            if !self.step(&mut cfg) {
-                engine_end(ENGINE, &trace, guard.steps(), run_start);
-                if let Some(sess) = session.as_mut() {
-                    sess.finish();
-                }
-                return Ok(RunOutcome::Stuck {
-                    state: cfg.state,
-                    steps,
-                });
-            }
-            steps += 1;
-            stats.rounds += 1;
-            if steps.is_multiple_of(TRACE_STRIDE) {
-                let round = guard.steps();
-                let tape = cfg.tape1.len().max(cfg.tape2.len()) as u64;
-                let value_hwm = guard.value_hwm() as u64;
-                trace.emit(|| TraceEvent::RoundEnd {
-                    engine: ENGINE.into(),
-                    round,
-                    delta: TRACE_STRIDE,
-                    facts: tape,
-                    value_hwm,
-                    wall_micros: 0,
-                });
-                if let Some(sess) = session.as_mut() {
-                    sess.commit(&guard.round_ckpt(steps, &stats, gtm_encode(&cfg, steps)));
-                }
-            }
-        }
+        })
     }
 
     /// Run fingerprint tying a checkpoint directory to this machine and
@@ -591,7 +565,7 @@ impl Gtm {
     /// contents all participate.
     fn fingerprint(&self, tape1: &[TapeSym]) -> u64 {
         let mut e = ckpt::Enc::new();
-        e.put_str(ENGINE);
+        e.put_str(ENGINE.as_str());
         e.put_str(&format!("{self:?}"));
         put_tape(&mut e, tape1);
         ckpt::fnv64(&e.finish())
