@@ -15,6 +15,7 @@ use untyped_sets::gtm::machines::swap_pairs_gtm;
 use untyped_sets::gtm::query::{run_gtm_query_governed, GtmQueryError};
 use untyped_sets::guard::{Budget, Governor};
 use untyped_sets::object::{atom, Database, Instance, Schema, Type};
+use untyped_sets::trace::TraceHandle;
 
 /// Exit cleanly with the structured exhaustion report when an env budget
 /// (`USET_MAX_*`) trips — the CI tiny-budget smoke job asserts this path.
@@ -42,8 +43,10 @@ fn main() {
     let target = Type::atomic_tuple(2);
     println!("input R = {}", db.get("R"));
 
-    // 1. direct GTM execution over the encoded listing
-    let governor = Governor::new(Budget::from_env().min(Budget::unlimited().with_steps(100_000)));
+    // 1. direct GTM execution over the encoded listing, traced by
+    //    USET_TRACE=off|mem|json:<path>
+    let budget = Budget::from_env().min(Budget::unlimited().with_steps(100_000));
+    let governor = Governor::new(budget).with_trace(TraceHandle::from_env());
     let direct = match run_gtm_query_governed(&m, &db, &schema, &target, &governor) {
         Ok(out) => out.expect("swap halts"),
         Err(GtmQueryError::Exhausted(report)) => governed_exit(report),

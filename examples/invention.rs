@@ -14,6 +14,7 @@ use untyped_sets::core::halting::{f_halt_fi, f_halt_terminal, TerminalHalting};
 use untyped_sets::gtm::tm::{always_halt_machine, halt_iff_even_machine, never_halt_machine};
 use untyped_sets::guard::{Budget, Governor};
 use untyped_sets::object::{atom, Atom, Database, Instance, RType};
+use untyped_sets::trace::TraceHandle;
 
 /// Exit cleanly with the structured exhaustion report when an env budget
 /// (`USET_MAX_*`) trips — the CI tiny-budget smoke job asserts this path.
@@ -47,7 +48,9 @@ fn main() {
             strip_invented(&raw).len()
         );
     }
-    let governor = Governor::new(Budget::from_env().min(cfg.budget()));
+    // USET_TRACE=off|mem|json:<path> traces the two governed searches
+    let trace = TraceHandle::from_env();
+    let governor = Governor::new(Budget::from_env().min(cfg.budget())).with_trace(trace);
     let fi = match eval_fi_governed(&q, &db, 3, &cfg, &governor) {
         Ok(fi) => fi,
         Err(CalcError::Exhausted(report)) => governed_exit(report),
