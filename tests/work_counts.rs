@@ -12,13 +12,18 @@
 //! - the optimizer strips the chaff from path-64 transitive closure
 //!   carrying an α-duplicate recursive rule and a dead rule, and derives
 //!   2 080 tuples where the unoptimized run derives 4 096, with the same
-//!   final state.
+//!   final state;
+//! - `swap_pairs_gtm` run as a query swaps n pairs in 12n + 1 machine
+//!   steps (18 001 on the benchmark's 1 500 pairs).
 
 use untyped_sets::deductive::col::ast::{ColLiteral, ColProgram, ColRule, ColTerm};
 use untyped_sets::deductive::col::eval::{stratified_with, ColConfig, ColStrategy};
 use untyped_sets::deductive::{DatalogProgram, DlAtom, DlRule, DlTerm};
-use untyped_sets::guard::{Governor, OptConfig};
-use untyped_sets::object::{atom, Atom, Database, EvalStats, Instance, Value};
+use untyped_sets::gtm::machines::swap_pairs_gtm;
+use untyped_sets::gtm::query::run_gtm_query_governed;
+use untyped_sets::gtm::GtmQueryError;
+use untyped_sets::guard::{Budget, Governor, OptConfig};
+use untyped_sets::object::{atom, Atom, Database, EvalStats, Instance, Schema, Type, Value};
 use untyped_sets::opt::{eval_stratified_seminaive, query_datalog, Goal};
 
 /// `T(x,y) ← E(x,y)`; `T(x,z) ← E(x,y), T(y,z)` in COL.
@@ -163,4 +168,34 @@ fn opt_strips_chaff_on_path_64() {
     assert_eq!(on.get("T").len(), 2_080);
     assert!(s_on.tuples_derived <= s_off.tuples_derived);
     assert_eq!((s_off.tuples_derived, s_on.tuples_derived), (4_096, 2_080));
+}
+
+/// `swap_pairs_gtm` over `n` pairs through the query path: the run ends
+/// under a steps budget of `rounds` with the swapped relation, and one
+/// step short of it trips with `EvalStats::rounds` = `rounds` − 1.
+fn assert_swap_rounds(n: u64, rounds: u64) {
+    let mut db = Database::empty();
+    db.set(
+        "R",
+        Instance::from_rows((0..n).map(|i| [atom(i), atom(10_000 + i)])),
+    );
+    let schema = Schema::flat([("R", 2)]);
+    let target = Type::atomic_tuple(2);
+    let run = |steps| {
+        let gov = Governor::new(Budget::unlimited().with_steps(steps));
+        run_gtm_query_governed(&swap_pairs_gtm(), &db, &schema, &target, &gov)
+    };
+    let swapped = Instance::from_rows((0..n).map(|i| [atom(10_000 + i), atom(i)]));
+    assert_eq!(run(rounds), Ok(Some(swapped)), "n = {n}");
+    match run(rounds - 1) {
+        Err(GtmQueryError::Exhausted(ex)) => assert_eq!(ex.stats.rounds, rounds - 1, "n = {n}"),
+        other => panic!("n = {n}: expected a steps trip, got {other:?}"),
+    }
+}
+
+#[test]
+fn gtm_swap_pairs_takes_12n_plus_1_steps() {
+    assert_swap_rounds(1, 13);
+    assert_swap_rounds(10, 121);
+    assert_swap_rounds(1_500, 18_001);
 }
