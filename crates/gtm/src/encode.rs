@@ -7,23 +7,14 @@
 //! relations' encodings in schema order. Output decoding inverts this for a
 //! single flat relation; anything unparsable is the undefined output.
 
-use crate::gtm::TapeSym;
+use crate::gtm::{Cell, TapeSym, BLANK, PUNCT};
 use uset_object::{Atom, Database, Instance, Schema, Value};
 
-/// Encode one flat tuple `[a1, …, ak]`.
-fn encode_tuple(out: &mut Vec<TapeSym>, v: &Value) -> Result<(), EncodeError> {
-    let items = v.as_tuple().ok_or(EncodeError::NotFlat)?;
-    out.push(TapeSym::work("["));
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(TapeSym::work(","));
-        }
-        let a = item.as_atom().ok_or(EncodeError::NotFlat)?;
-        out.push(TapeSym::dom(a));
-    }
-    out.push(TapeSym::work("]"));
-    Ok(())
-}
+const COMMA: Cell = Cell::Work(1);
+const OPEN: Cell = Cell::Work(2);
+const CLOSE: Cell = Cell::Work(3);
+const OPEN_TUPLE: Cell = Cell::Work(4);
+const CLOSE_TUPLE: Cell = Cell::Work(5);
 
 /// Errors raised by encoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,6 +36,89 @@ impl std::fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
+/// The relational encoder: `db`'s relations in schema order, each listed
+/// in canonical member order, or in the per-relation order `orders`
+/// gives (each order must list its instance's members exactly once).
+/// The tape is in relational form (see [`Cell`]).
+pub(crate) fn encode_cells(
+    db: &Database,
+    schema: &Schema,
+    orders: Option<&[Vec<Value>]>,
+) -> Result<Vec<Cell>, EncodeError> {
+    let entries = schema.entries();
+    if orders.is_some_and(|o| o.len() != entries.len()) {
+        return Err(EncodeError::BadOrder);
+    }
+    let mut out = Vec::new();
+    for (i, (name, _)) in entries.iter().enumerate() {
+        let inst = db.get_ref(name);
+        match orders {
+            Some(orders) => {
+                check_order(inst, &orders[i])?;
+                encode_relation(&mut out, orders[i].iter())?;
+            }
+            None => encode_relation(&mut out, inst.into_iter().flat_map(Instance::iter))?,
+        }
+    }
+    Ok(out)
+}
+
+/// `order` lists exactly the members of `inst` (absent: empty), each once.
+fn check_order(inst: Option<&Instance>, order: &[Value]) -> Result<(), EncodeError> {
+    let len = inst.map_or(0, Instance::len);
+    if order.len() != len || !order.iter().all(|v| inst.is_some_and(|i| i.contains(v))) {
+        return Err(EncodeError::BadOrder);
+    }
+    let distinct: std::collections::BTreeSet<&Value> = order.iter().collect();
+    if distinct.len() != order.len() {
+        return Err(EncodeError::BadOrder);
+    }
+    Ok(())
+}
+
+/// Encode one relation listing `( t1 , t2 , … )`, its rows in the order
+/// given.
+fn encode_relation<'a>(
+    out: &mut Vec<Cell>,
+    rows: impl Iterator<Item = &'a Value>,
+) -> Result<(), EncodeError> {
+    out.push(OPEN);
+    for (i, v) in rows.enumerate() {
+        if i > 0 {
+            out.push(COMMA);
+        }
+        encode_tuple(out, v)?;
+    }
+    out.push(CLOSE);
+    Ok(())
+}
+
+/// Encode one flat tuple `[a1, …, ak]`.
+fn encode_tuple(out: &mut Vec<Cell>, v: &Value) -> Result<(), EncodeError> {
+    let items = v.as_tuple().ok_or(EncodeError::NotFlat)?;
+    out.push(OPEN_TUPLE);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(COMMA);
+        }
+        let a = item.as_atom().ok_or(EncodeError::NotFlat)?;
+        out.push(Cell::Dom(a));
+    }
+    out.push(CLOSE_TUPLE);
+    Ok(())
+}
+
+/// The tape symbols of a relational-form tape.
+fn tape_syms(tape: &[Cell]) -> Vec<TapeSym> {
+    tape.iter()
+        .map(|&c| match c {
+            Cell::Work(w) => TapeSym::work(PUNCT[w as usize]),
+            Cell::Dom(a) => TapeSym::Dom(a),
+            Cell::Const(_) => unreachable!("relational cells hold no Const"),
+        })
+        .collect()
+}
+
 /// Encode a flat instance under an explicit enumeration order.
 ///
 /// `order` must list exactly the members of `inst` (each once).
@@ -52,38 +126,23 @@ pub fn encode_instance_ordered(
     inst: &Instance,
     order: &[Value],
 ) -> Result<Vec<TapeSym>, EncodeError> {
-    if order.len() != inst.len() || !order.iter().all(|v| inst.contains(v)) {
-        return Err(EncodeError::BadOrder);
-    }
-    let distinct: std::collections::BTreeSet<&Value> = order.iter().collect();
-    if distinct.len() != order.len() {
-        return Err(EncodeError::BadOrder);
-    }
-    let mut out = vec![TapeSym::work("(")];
-    for (i, v) in order.iter().enumerate() {
-        if i > 0 {
-            out.push(TapeSym::work(","));
-        }
-        encode_tuple(&mut out, v)?;
-    }
-    out.push(TapeSym::work(")"));
-    Ok(out)
+    check_order(Some(inst), order)?;
+    let mut out = Vec::new();
+    encode_relation(&mut out, order.iter())?;
+    Ok(tape_syms(&out))
 }
 
 /// Encode a flat instance in canonical member order.
 pub fn encode_instance(inst: &Instance) -> Result<Vec<TapeSym>, EncodeError> {
-    let order: Vec<Value> = inst.iter().cloned().collect();
-    encode_instance_ordered(inst, &order)
+    let mut out = Vec::new();
+    encode_relation(&mut out, inst.iter())?;
+    Ok(tape_syms(&out))
 }
 
 /// Encode a database under a schema: relations in schema order, each in
 /// canonical member order.
 pub fn encode_database(db: &Database, schema: &Schema) -> Result<Vec<TapeSym>, EncodeError> {
-    let mut out = Vec::new();
-    for (name, _) in schema.entries() {
-        out.extend(encode_instance(&db.get(name))?);
-    }
-    Ok(out)
+    Ok(tape_syms(&encode_cells(db, schema, None)?))
 }
 
 /// Encode a database with a per-relation enumeration order (for the
@@ -93,33 +152,37 @@ pub fn encode_database_ordered(
     schema: &Schema,
     orders: &[Vec<Value>],
 ) -> Result<Vec<TapeSym>, EncodeError> {
-    if orders.len() != schema.entries().len() {
-        return Err(EncodeError::BadOrder);
-    }
-    let mut out = Vec::new();
-    for ((name, _), order) in schema.entries().iter().zip(orders) {
-        out.extend(encode_instance_ordered(&db.get(name), order)?);
-    }
-    Ok(out)
+    Ok(tape_syms(&encode_cells(db, schema, Some(orders))?))
 }
 
 /// Decode a tape holding exactly one flat relation listing. `None` when the
 /// tape is not a well-formed listing (the machine's output is then `?`).
 pub fn decode_instance(tape: &[TapeSym]) -> Option<Instance> {
+    // any working symbol outside the punctuation reads as no punctuation
+    let other = Cell::Work(PUNCT.len() as u32);
+    let cells: Vec<Cell> = tape
+        .iter()
+        .map(|s| match s {
+            TapeSym::Work(w) => PUNCT
+                .iter()
+                .position(|p| p == w)
+                .map_or(other, |i| Cell::Work(i as u32)),
+            TapeSym::Dom(a) => Cell::Dom(*a),
+        })
+        .collect();
+    decode_cells(&cells)
+}
+
+/// The relational decoder: [`decode_instance`] on a relational-form tape.
+pub(crate) fn decode_cells(tape: &[Cell]) -> Option<Instance> {
     let mut pos = 0usize;
     let inst = parse_relation(tape, &mut pos)?;
     // trailing content (other than blanks) invalidates the output
-    while pos < tape.len() {
-        if tape[pos] != TapeSym::blank() {
-            return None;
-        }
-        pos += 1;
-    }
-    Some(inst)
+    tape[pos..].iter().all(|&c| c == BLANK).then_some(inst)
 }
 
-fn expect(tape: &[TapeSym], pos: &mut usize, w: &str) -> Option<()> {
-    if tape.get(*pos) == Some(&TapeSym::work(w)) {
+fn expect(tape: &[Cell], pos: &mut usize, c: Cell) -> Option<()> {
+    if tape.get(*pos) == Some(&c) {
         *pos += 1;
         Some(())
     } else {
@@ -127,50 +190,34 @@ fn expect(tape: &[TapeSym], pos: &mut usize, w: &str) -> Option<()> {
     }
 }
 
-fn parse_relation(tape: &[TapeSym], pos: &mut usize) -> Option<Instance> {
-    expect(tape, pos, "(")?;
+fn parse_relation(tape: &[Cell], pos: &mut usize) -> Option<Instance> {
+    expect(tape, pos, OPEN)?;
     let mut inst = Instance::empty();
-    if tape.get(*pos) == Some(&TapeSym::work(")")) {
-        *pos += 1;
+    if expect(tape, pos, CLOSE).is_some() {
         return Some(inst);
     }
     loop {
-        let tuple = parse_tuple(tape, pos)?;
-        inst.insert(tuple);
-        match tape.get(*pos) {
-            Some(s) if *s == TapeSym::work(",") => {
-                *pos += 1;
-            }
-            Some(s) if *s == TapeSym::work(")") => {
-                *pos += 1;
-                return Some(inst);
-            }
-            _ => return None,
+        inst.insert(parse_tuple(tape, pos)?);
+        if expect(tape, pos, CLOSE).is_some() {
+            return Some(inst);
         }
+        expect(tape, pos, COMMA)?;
     }
 }
 
-fn parse_tuple(tape: &[TapeSym], pos: &mut usize) -> Option<Value> {
-    expect(tape, pos, "[")?;
+fn parse_tuple(tape: &[Cell], pos: &mut usize) -> Option<Value> {
+    expect(tape, pos, OPEN_TUPLE)?;
     let mut items: Vec<Value> = Vec::new();
     loop {
-        match tape.get(*pos) {
-            Some(TapeSym::Dom(a)) => {
-                items.push(Value::Atom(*a));
-                *pos += 1;
-                match tape.get(*pos) {
-                    Some(s) if *s == TapeSym::work(",") => {
-                        *pos += 1;
-                    }
-                    Some(s) if *s == TapeSym::work("]") => {
-                        *pos += 1;
-                        return Some(Value::Tuple(items));
-                    }
-                    _ => return None,
-                }
-            }
-            _ => return None,
+        let Some(&Cell::Dom(a)) = tape.get(*pos) else {
+            return None;
+        };
+        items.push(Value::Atom(a));
+        *pos += 1;
+        if expect(tape, pos, CLOSE_TUPLE).is_some() {
+            return Some(Value::Tuple(items));
         }
+        expect(tape, pos, COMMA)?;
     }
 }
 
