@@ -1,56 +1,47 @@
 //! Evaluation of COL programs: stratified and inflationary semantics.
 //!
-//! Both semantics share a round-based engine with two interchangeable
-//! strategies ([`ColStrategy`]):
+//! Rules compile into the plans DATALOG¬ runs too ([`Plan::compile`] with
+//! [`Dialect::Col`]) and fire on the round driver the rule engines share
+//! ([`uset_guard::rounds`]): each round derives everything from the
+//! settled pre-round state, then inserts, so the state is never cloned.
+//! Two strategies are interchangeable ([`ColStrategy`]):
 //!
 //! * **naive** — every rule fires against the pre-round state each round;
 //!   the reference implementation.
 //! * **semi-naive** (the default) — each rule is classified once per
-//!   engine run: rules reading no symbol defined in the run fire only in
-//!   the first round; rules whose only same-run reads are monotone
-//!   (positive predicate literals and positive memberships in a data
-//!   function being built) fire once per such position with that literal
-//!   restricted to the previous round's delta; rules with a non-monotone
-//!   same-run read (negation, or a function value evaluated as a term)
-//!   fall back to full re-evaluation. Under stratified semantics that
-//!   last class never arises — stratification lifts strong dependencies
-//!   to higher strata — so it only appears under inflationary semantics,
-//!   where full re-evaluation against the pre-round state is exactly the
-//!   naive semantics of those rules.
+//!   engine run ([`Plan::class`]): a rule reading no symbol defined in the
+//!   run fires only in the first round; one whose same-run reads are all
+//!   monotone fires once per such literal, restricted to the previous
+//!   round's delta; one with a non-monotone same-run read re-fires in
+//!   full.
 //!
-//! Rounds are two-phase — derive everything from the settled pre-round
-//! state, then insert — so neither strategy ever clones the state. The
-//! round itself is the driver shared with DATALOG¬ (`crate::fixpoint`);
-//! this module supplies COL's rule classification, firing, delta
-//! sharding, fact insertion, and checkpoint codec.
-//! Positive predicate joins with a ground first argument probe a shared
-//! first-column hash index ([`uset_object::IndexSet`]) instead of
-//! scanning, and every engine threads an [`EvalStats`] of work counters.
+//! This module supplies COL's state, delta sharding, fact insertion and
+//! checkpoint codec. Settled probes go through the
+//! [`IdIndex`](uset_object::IdIndex)es the engine keeps per probed column,
+//! and every engine threads an [`EvalStats`] of work counters.
 //!
 //! Untyped COL programs can diverge — e.g. the chain rules of Theorem 5.1
 //! without a guard — so the engine runs under the shared [`uset_guard`]
 //! layer: a round budget and a total-fact budget, the latter charged at
 //! every admitted fact (a single round can derive quadratically many
-//! facts, so checking between rounds would let the state overshoot
-//! arbitrarily), plus cooperative cancellation and wall-clock deadlines.
+//! facts), plus cooperative cancellation and wall-clock deadlines.
 //! Exceeding any budget reports [`ColEvalError::Exhausted`] — the
 //! observable stand-in for the paper's undefined output `?` — carrying the
-//! state at the last completed round (a round's facts reach the state only
-//! when it commits, so the snapshot is always a state both strategies
-//! agree on).
+//! state at the last completed round, which both strategies agree on.
 
-use crate::col::ast::{ColHead, ColLiteral, ColProgram, ColRule, ColTerm};
+use crate::col::ast::ColProgram;
 use crate::col::stratify::stratify;
-use crate::plan::{slot_of, Bound, DeltaJoin, Frame};
-use std::borrow::Cow;
+use crate::plan::{
+    self, render_func_fact, render_pred_fact, DeltaIn, Dialect, FuncGraph, FuncGraphs, HeadFact,
+    Indexes, Plan, State, Step, Unbound,
+};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 use uset_guard::ckpt;
 use uset_guard::rounds::{
     self, Derived, Engine, Mark, OutOfRounds, Probes, Resume, RuleClass, Unit,
 };
 use uset_guard::{Budget, EngineId, Exhausted, Governor, ParBrake};
-use uset_object::{Database, EvalStats, IndexSet, Instance, Pool, RType, Value};
+use uset_object::{Database, EvalStats, Instance, Pool, Value};
 use uset_par::shard_of;
 
 /// Evaluation state: predicate extents and data-function graphs.
@@ -60,7 +51,17 @@ pub struct ColState {
     /// predicates (n ≥ 2) hold n-tuples.
     pub preds: BTreeMap<String, Instance>,
     /// Function symbol → argument tuple → set value.
-    pub funcs: BTreeMap<String, BTreeMap<Vec<Value>, BTreeSet<Value>>>,
+    pub funcs: FuncGraphs,
+}
+
+impl State for ColState {
+    fn rel(&self, pred: &str) -> Option<&Instance> {
+        self.preds.get(pred)
+    }
+
+    fn funcs(&self) -> &FuncGraphs {
+        &self.funcs
+    }
 }
 
 impl ColState {
@@ -166,6 +167,12 @@ impl std::fmt::Display for ColEvalError {
 
 impl std::error::Error for ColEvalError {}
 
+impl From<Unbound> for ColEvalError {
+    fn from(u: Unbound) -> ColEvalError {
+        ColEvalError::NonGround(u.var)
+    }
+}
+
 /// Budgets for COL evaluation — a thin shim over the shared
 /// [`uset_guard`] layer; new code should pass a [`Governor`] to the
 /// `_governed` entry points.
@@ -206,671 +213,29 @@ pub enum ColStrategy {
     Seminaive,
 }
 
-/// A COL term compiled to slots.
-#[derive(Clone, Debug)]
-enum Term {
-    Slot(usize),
-    Const(Value),
-    Tuple(Vec<Term>),
-    SetLit(Vec<Term>),
-    Apply(String, Vec<Term>),
-}
-
-impl Term {
-    /// The slots occurring in the term.
-    fn slots(&self) -> Vec<usize> {
-        match self {
-            Term::Slot(s) => vec![*s],
-            Term::Const(_) => Vec::new(),
-            Term::Tuple(ts) | Term::SetLit(ts) | Term::Apply(_, ts) => {
-                ts.iter().flat_map(Term::slots).collect()
-            }
-        }
-    }
-}
-
-/// A compiled COL body literal.
-#[derive(Clone, Debug)]
-enum Step {
-    /// `key` is the first column ground when the literal is reached — the
-    /// column a delta read is hashed on.
-    Pred {
-        name: String,
-        args: Vec<Term>,
-        positive: bool,
-        key: Option<usize>,
-    },
-    Member {
-        elem: Term,
-        set: Term,
-        positive: bool,
-    },
-    Eq {
-        left: Term,
-        right: Term,
-        positive: bool,
-    },
-}
-
-/// A compiled COL rule head.
-#[derive(Clone, Debug)]
-enum HeadPlan {
-    Pred {
-        name: String,
-        args: Vec<Term>,
-    },
-    Func {
-        func: String,
-        args: Vec<Term>,
-        elem: Term,
-    },
-}
-
-/// A value a pattern is matched against: borrowed from the settled state
-/// or the delta for the whole firing, or a temporary the firing computed
-/// (bound by copy).
-#[derive(Clone, Copy)]
-enum Src<'a, 't> {
-    Kept(&'a Value),
-    Temp(&'t Value),
-}
-
-impl<'a, 't> Src<'a, 't> {
-    fn value(&self) -> &Value {
-        match *self {
-            Src::Kept(v) => v,
-            Src::Temp(v) => v,
-        }
-    }
-
-    /// Element `k` of a tuple value (the caller checked the arity).
-    fn item(self, k: usize) -> Src<'a, 't> {
-        match self {
-            Src::Kept(v) => Src::Kept(&v.as_tuple().expect("tuple")[k]),
-            Src::Temp(v) => Src::Temp(&v.as_tuple().expect("tuple")[k]),
-        }
-    }
-
-    fn bound(self) -> Rc<Bound<'a>> {
-        match self {
-            Src::Kept(v) => Bound::borrowed(v),
-            Src::Temp(v) => Bound::owned(v.clone()),
-        }
-    }
-}
-
-/// The members a membership literal ranges over.
-enum Members<'a> {
-    Kept(&'a BTreeSet<Value>),
-    Temp(BTreeSet<Value>),
-}
-
-/// A COL rule compiled to slots: its literals over slot-numbered terms,
-/// each variable's rtype annotation by slot, and the first-column
-/// indexes its firings can probe.
-struct ColPlan {
-    /// The source rule: classification, delta sharding and error text.
-    rule: ColRule,
-    body: Vec<Step>,
-    head: HeadPlan,
-    /// Slot → variable name, for errors.
-    names: Vec<String>,
-    /// Slot → rtype annotation.
-    types: Vec<Option<RType>>,
-    /// Body positions, with their predicates, whose first-column index a
-    /// firing can probe: an n-ary positive literal whose first argument
-    /// uses only variables some earlier positive literal binds.
-    indexed: Vec<(usize, String)>,
-}
-
-impl ColPlan {
-    fn compile(rule: &ColRule) -> ColPlan {
-        let mut names: Vec<String> = Vec::new();
-        fn term(t: &ColTerm, names: &mut Vec<String>) -> Term {
-            let terms = |ts: &[ColTerm], names: &mut Vec<String>| -> Vec<Term> {
-                ts.iter().map(|t| term(t, names)).collect()
-            };
-            match t {
-                ColTerm::Var(v) => Term::Slot(slot_of(names, v)),
-                ColTerm::Const(c) => Term::Const(c.clone()),
-                ColTerm::Tuple(ts) => Term::Tuple(terms(ts, names)),
-                ColTerm::SetLit(ts) => Term::SetLit(terms(ts, names)),
-                ColTerm::Apply(f, ts) => Term::Apply(f.clone(), terms(ts, names)),
-            }
-        }
-        let mut bound: Vec<bool> = Vec::new();
-        let mut indexed = Vec::new();
-        let mut body = Vec::with_capacity(rule.body.len());
-        for lit in &rule.body {
-            let step = match lit {
-                ColLiteral::Pred {
-                    name,
-                    args,
-                    positive,
-                } => {
-                    let args: Vec<Term> = args.iter().map(|t| term(t, &mut names)).collect();
-                    bound.resize(names.len(), false);
-                    let key = args
-                        .iter()
-                        .position(|t| t.slots().iter().all(|&s| bound[s]));
-                    if *positive && args.len() > 1 && key == Some(0) {
-                        indexed.push((body.len(), name.clone()));
-                    }
-                    Step::Pred {
-                        name: name.clone(),
-                        args,
-                        positive: *positive,
-                        key,
-                    }
-                }
-                ColLiteral::Member {
-                    elem,
-                    set,
-                    positive,
-                } => Step::Member {
-                    elem: term(elem, &mut names),
-                    set: term(set, &mut names),
-                    positive: *positive,
-                },
-                ColLiteral::Eq {
-                    left,
-                    right,
-                    positive,
-                } => Step::Eq {
-                    left: term(left, &mut names),
-                    right: term(right, &mut names),
-                    positive: *positive,
-                },
-            };
-            bound.resize(names.len(), false);
-            let binds: Vec<&Term> = match &step {
-                Step::Pred {
-                    args,
-                    positive: true,
-                    ..
-                } => args.iter().collect(),
-                Step::Member {
-                    elem,
-                    positive: true,
-                    ..
-                } => vec![elem],
-                Step::Eq {
-                    left,
-                    right,
-                    positive: true,
-                } => vec![left, right],
-                _ => Vec::new(),
-            };
-            binds
-                .iter()
-                .flat_map(|t| t.slots())
-                .for_each(|s| bound[s] = true);
-            body.push(step);
-        }
-        let head = match &rule.head {
-            ColHead::Pred { name, args } => HeadPlan::Pred {
-                name: name.clone(),
-                args: args.iter().map(|t| term(t, &mut names)).collect(),
-            },
-            ColHead::FuncMember { func, args, elem } => HeadPlan::Func {
-                func: func.clone(),
-                args: args.iter().map(|t| term(t, &mut names)).collect(),
-                elem: term(elem, &mut names),
-            },
-        };
-        let types = names.iter().map(|n| rule.types.get(n).cloned()).collect();
-        ColPlan {
-            rule: rule.clone(),
-            body,
-            head,
-            names,
-            types,
-            indexed,
-        }
-    }
-
-    /// The empty binding.
-    fn frame<'a>(&self) -> Frame<'a> {
-        vec![None; self.names.len()]
-    }
-
-    /// Evaluate a term that must be ground under `f`.
-    fn eval<'f>(
-        &'f self,
-        t: &'f Term,
-        f: &'f Frame<'_>,
-        state: &ColState,
-    ) -> Result<Cow<'f, Value>, ColEvalError> {
-        let all = |ts| self.eval_all(ts, f, state);
-        Ok(match t {
-            Term::Slot(s) => Cow::Borrowed(
-                f[*s]
-                    .as_ref()
-                    .ok_or_else(|| ColEvalError::NonGround(self.names[*s].clone()))?
-                    .value(),
-            ),
-            Term::Const(c) => Cow::Borrowed(c),
-            Term::Tuple(ts) => Cow::Owned(Value::Tuple(all(ts)?)),
-            Term::SetLit(ts) => Cow::Owned(Value::Set(all(ts)?.into_iter().collect())),
-            Term::Apply(func, ts) => Cow::Owned(Value::Set(state.func(func, &all(ts)?))),
-        })
-    }
-
-    /// Ground a list of terms.
-    fn eval_all(
-        &self,
-        ts: &[Term],
-        f: &Frame<'_>,
-        state: &ColState,
-    ) -> Result<Vec<Value>, ColEvalError> {
-        ts.iter()
-            .map(|t| self.eval(t, f, state).map(Cow::into_owned))
-            .collect()
-    }
-
-    /// One-way matching of a pattern against a value, extending `f`;
-    /// fresh variables respect their rtype annotations. `SetLit`/`Apply`
-    /// sub-patterns must be ground.
-    fn bind<'a>(
-        &self,
-        pat: &Term,
-        v: Src<'a, '_>,
-        f: &mut Frame<'a>,
-        state: &ColState,
-    ) -> Result<bool, ColEvalError> {
-        match pat {
-            Term::Slot(s) => match &f[*s] {
-                Some(b) => Ok(b.value() == v.value()),
-                None => {
-                    if let Some(ty) = &self.types[*s] {
-                        if !ty.contains(v.value()) {
-                            return Ok(false);
-                        }
-                    }
-                    f[*s] = Some(v.bound());
-                    Ok(true)
-                }
-            },
-            Term::Const(c) => Ok(c == v.value()),
-            Term::Tuple(ts) => self.bind_items(ts, v, f, state),
-            // set literals and function applications are compared, not
-            // destructured: they must be ground at this point
-            Term::SetLit(_) | Term::Apply(..) => Ok(*self.eval(pat, f, state)? == *v.value()),
-        }
-    }
-
-    /// Match a tuple value item by item against `ts`.
-    fn bind_items<'a>(
-        &self,
-        ts: &[Term],
-        v: Src<'a, '_>,
-        f: &mut Frame<'a>,
-        state: &ColState,
-    ) -> Result<bool, ColEvalError> {
-        match v.value().as_tuple() {
-            Some(items) if items.len() == ts.len() => {
-                for (k, t) in ts.iter().enumerate() {
-                    if !self.bind(t, v.item(k), f, state)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Match one predicate row against the literal's arguments, pushing
-    /// the extended frame on success. Unary predicates hold bare objects,
-    /// n-ary predicates hold n-tuples.
-    fn extend_row<'a>(
-        &self,
-        args: &[Term],
-        row: &'a Value,
-        f: &Frame<'a>,
-        state: &ColState,
-        out: &mut Vec<Frame<'a>>,
-    ) -> Result<(), ColEvalError> {
-        let mut next = f.clone();
-        let matched = match args {
-            [arg] => self.bind(arg, Src::Kept(row), &mut next, state)?,
-            _ => self.bind_items(args, Src::Kept(row), &mut next, state)?,
-        };
-        if matched {
-            out.push(next);
-        }
-        Ok(())
-    }
-
-    /// The members of a membership literal's set under `f`: a delta read
-    /// of a function application looks the set up in the delta; a
-    /// non-set value yields `None` (the literal is simply unsatisfied).
-    fn members<'a>(
-        &self,
-        set: &Term,
-        f: &Frame<'a>,
-        state: &'a ColState,
-        delta: Option<&'a ColDelta>,
-    ) -> Result<Option<Members<'a>>, ColEvalError> {
-        if let Term::Apply(func, args) = set {
-            let args = self.eval_all(args, f, state)?;
-            let graphs = delta.map_or(&state.funcs, |d| &d.funcs);
-            return Ok(Some(match graphs.get(func).and_then(|g| g.get(&args)) {
-                Some(s) => Members::Kept(s),
-                None => Members::Temp(BTreeSet::new()),
-            }));
-        }
-        if let Term::Slot(s) = set {
-            if let Some(v) = f[*s].as_ref().and_then(|b| b.kept()) {
-                return Ok(v.as_set().map(Members::Kept));
-            }
-        }
-        Ok(match self.eval(set, f, state)?.into_owned() {
-            Value::Set(s) => Some(Members::Temp(s)),
-            _ => None,
-        })
-    }
-
-    /// Extend every frame through body literal `i`. With `delta` set,
-    /// this literal's top-level symbol (a positive predicate, or a
-    /// positive membership in a function application) reads the previous
-    /// round's delta instead of the settled state — the semi-naive
-    /// rewriting — and an n-ary predicate joins the delta through a hash
-    /// on its key column. Everything else in the literal still reads the
-    /// state.
-    #[allow(clippy::too_many_arguments)]
-    fn join<'a>(
-        &self,
-        i: usize,
-        frames: Vec<Frame<'a>>,
-        state: &'a ColState,
-        delta: Option<&'a ColDelta>,
-        indexes: &'a IndexSet,
-        empty: &'a Instance,
-        stats: &mut EvalStats,
-    ) -> Result<Vec<Frame<'a>>, ColEvalError> {
-        let mut out = Vec::new();
-        match &self.body[i] {
-            Step::Pred {
-                name,
-                args,
-                positive,
-                key,
-            } => {
-                let rel: &'a Instance = match delta {
-                    Some(d) => d.preds.get(name).unwrap_or(empty),
-                    None => state.preds.get(name).unwrap_or(empty),
-                };
-                if !*positive {
-                    for f in frames {
-                        let ground = self.eval_all(args, &f, state)?;
-                        let present = if ground.len() == 1 {
-                            rel.contains(&ground[0])
-                        } else {
-                            // with the relation's id sidecar current,
-                            // probe by ObjRef instead of building the
-                            // tuple just to hash it
-                            match negated_tuple_probe(rel, &ground) {
-                                Some(hit) => hit,
-                                None => rel.contains(&Value::Tuple(ground)),
-                            }
-                        };
-                        if !present {
-                            out.push(f);
-                        }
-                    }
-                    return Ok(out);
-                }
-                if args.len() == 1 {
-                    for f in frames {
-                        // a fully ground unary pattern is a membership
-                        // test, not a scan (sound because rtype checks
-                        // only guard fresh variable bindings); only reads
-                        // of the settled state count as probes — a delta
-                        // lookup is by-design cheap, not a replaced scan
-                        match self.eval(&args[0], &f, state).map(|v| rel.contains(&v)) {
-                            Ok(hit) => {
-                                if delta.is_none() {
-                                    stats.index_probes += 1;
-                                }
-                                if hit {
-                                    out.push(f);
-                                }
-                            }
-                            Err(_) => {
-                                for row in rel.iter() {
-                                    self.extend_row(args, row, &f, state, &mut out)?;
-                                }
-                            }
-                        }
-                    }
-                    return Ok(out);
-                }
-                if delta.is_some() {
-                    let join = DeltaJoin::new(rel.iter(), *key);
-                    for f in frames {
-                        let k = match key {
-                            Some(k) => self.eval(&args[*k], &f, state).ok(),
-                            None => None,
-                        };
-                        for &row in join.candidates(k.as_deref()) {
-                            self.extend_row(args, row, &f, state, &mut out)?;
-                        }
-                    }
-                    return Ok(out);
-                }
-                // n-ary with ground first argument: probe the first-column
-                // index over the settled state
-                for f in frames {
-                    let key = self.eval(&args[0], &f, state).ok();
-                    let index = key.as_ref().and(indexes.get(name, 0, rel.version()));
-                    if let (Some(k), Some(idx)) = (&key, index) {
-                        stats.index_probes += 1;
-                        for row in idx.probe(k) {
-                            self.extend_row(args, row, &f, state, &mut out)?;
-                        }
-                        continue;
-                    }
-                    // a ground key without a usable index (a cache without
-                    // this relation) is a real missed-index scan
-                    if key.is_some() {
-                        stats.scan_fallbacks += 1;
-                    }
-                    for row in rel.iter() {
-                        self.extend_row(args, row, &f, state, &mut out)?;
-                    }
-                }
-            }
-            Step::Member {
-                elem,
-                set,
-                positive,
-            } => {
-                for f in frames {
-                    let Some(members) = self.members(set, &f, state, delta)? else {
-                        continue;
-                    };
-                    if *positive {
-                        let mut each = |m: Src<'a, '_>| -> Result<(), ColEvalError> {
-                            let mut next = f.clone();
-                            if self.bind(elem, m, &mut next, state)? {
-                                out.push(next);
-                            }
-                            Ok(())
-                        };
-                        match &members {
-                            Members::Kept(s) => s.iter().try_for_each(|m| each(Src::Kept(m)))?,
-                            Members::Temp(s) => s.iter().try_for_each(|m| each(Src::Temp(m)))?,
-                        }
-                    } else {
-                        let set = match &members {
-                            Members::Kept(s) => *s,
-                            Members::Temp(s) => s,
-                        };
-                        if !set.contains(&*self.eval(elem, &f, state)?) {
-                            out.push(f);
-                        }
-                    }
-                }
-            }
-            Step::Eq {
-                left,
-                right,
-                positive,
-            } => {
-                let ColLiteral::Eq {
-                    left: left_src,
-                    right: right_src,
-                    ..
-                } = &self.rule.body[i]
-                else {
-                    unreachable!("an Eq step compiles an Eq literal");
-                };
-                for f in frames {
-                    // allow an unbound variable on one side to be assigned
-                    let assign = match (self.eval(left, &f, state), self.eval(right, &f, state)) {
-                        (Ok(l), Ok(r)) => {
-                            if (l == r) != *positive {
-                                continue;
-                            }
-                            None
-                        }
-                        (Err(_), Ok(r)) if *positive => Some((left, left_src, r.into_owned())),
-                        (Ok(l), Err(_)) if *positive => Some((right, right_src, l.into_owned())),
-                        (Err(e), _) | (_, Err(e)) => return Err(e),
-                    };
-                    let Some((side, src, v)) = assign else {
-                        out.push(f);
-                        continue;
-                    };
-                    let Term::Slot(s) = side else {
-                        return Err(ColEvalError::NonGround(format!("{src:?}")));
-                    };
-                    if self.types[*s].as_ref().is_some_and(|ty| !ty.contains(&v)) {
-                        continue;
-                    }
-                    let mut next = f.clone();
-                    next[*s] = Some(Bound::owned(v));
-                    out.push(next);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The stored row of a predicate atom: a bare object when unary, a
-    /// tuple otherwise.
-    fn pred_row(
-        &self,
-        args: &[Term],
-        f: &Frame<'_>,
-        state: &ColState,
-    ) -> Result<Value, ColEvalError> {
-        let mut ground = self.eval_all(args, f, state)?;
-        Ok(if ground.len() == 1 {
-            ground.remove(0)
-        } else {
-            Value::Tuple(ground)
-        })
-    }
-
-    /// The head fact under a final binding.
-    fn head_fact(&self, f: &Frame<'_>, state: &ColState) -> Result<ColFact, ColEvalError> {
-        Ok(match &self.head {
-            HeadPlan::Pred { name, args } => ColFact::Pred {
-                name: name.clone(),
-                row: self.pred_row(args, f, state)?,
-            },
-            HeadPlan::Func { func, args, elem } => ColFact::Func {
-                func: func.clone(),
-                args: self.eval_all(args, f, state)?,
-                elem: self.eval(elem, f, state)?.into_owned(),
-            },
-        })
-    }
-
-    /// The instantiated supporting body facts of one firing — the parents
-    /// of the head fact it derives. Predicate reads and data-function
-    /// memberships are stored facts and appear here; plain memberships in
-    /// a bound set value and (in)equalities are constraints on
-    /// already-listed facts, so they do not.
-    fn parents(&self, f: &Frame<'_>, state: &ColState) -> Result<Vec<String>, ColEvalError> {
-        let mut out = Vec::new();
-        for step in &self.body {
-            match step {
-                Step::Pred {
-                    name,
-                    args,
-                    positive: true,
-                    ..
-                } => out.push(render_pred_fact(name, &self.pred_row(args, f, state)?)),
-                Step::Member {
-                    elem,
-                    set: Term::Apply(func, args),
-                    positive: true,
-                } => {
-                    let e = self.eval(elem, f, state)?;
-                    let fa = self.eval_all(args, f, state)?;
-                    out.push(render_func_fact(func, &fa, &e));
-                }
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Probe `[ground…] ∈ rel` for a negated n-ary literal without
-/// materializing the probe tuple: with the relation's id sidecar current,
-/// the ground argument values intern to an [`ObjRef`] and membership is a
-/// hash-set lookup. `None` means the sidecar cannot answer and the caller
-/// must build the tuple.
-///
-/// [`ObjRef`]: uset_object::ObjRef
-fn negated_tuple_probe(rel: &Instance, ground: &[Value]) -> Option<bool> {
-    rel.contains_ref(Pool::global().intern_tuple_slice(ground))
-}
-
 /// Per-round delta: facts newly inserted in the previous round.
 #[derive(Clone, Debug, Default)]
 struct ColDelta {
     preds: BTreeMap<String, Instance>,
-    funcs: BTreeMap<String, BTreeMap<Vec<Value>, BTreeSet<Value>>>,
+    funcs: FuncGraphs,
+}
+
+impl ColDelta {
+    /// What body literal `step` reads of the delta: its predicate's new
+    /// rows, or the data functions' new members.
+    fn at(&self, step: &Step) -> DeltaIn<'_> {
+        match step.pred() {
+            Some(p) => DeltaIn::Rows(self.preds.get(p).unwrap_or(plan::empty())),
+            None => DeltaIn::Funcs(&self.funcs),
+        }
+    }
 }
 
 /// Engine label carried by every COL trace event.
 const ENGINE: &str = "col";
 
-/// Canonical rendering of a predicate fact for provenance events and the
-/// `why(fact)` API: `name(row)` for unary predicates (which store bare
-/// objects), `name` followed by the stored tuple otherwise.
-pub fn render_pred_fact(name: &str, row: &Value) -> String {
-    match row {
-        Value::Tuple(_) => format!("{name}{row}"),
-        _ => format!("{name}({row})"),
-    }
-}
-
-/// Canonical rendering of a data-function membership fact
-/// (`elem ∈ func(args…)`).
-pub fn render_func_fact(func: &str, args: &[Value], elem: &Value) -> String {
-    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-    format!("{elem} ∈ {func}({})", args.join(", "))
-}
-
-/// One derived fact: a predicate row or a data-function membership.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum ColFact {
-    Pred {
-        name: String,
-        row: Value,
-    },
-    Func {
-        func: String,
-        args: Vec<Value>,
-        elem: Value,
-    },
-}
+/// One derived fact: the head symbol and the row or member derived.
+type ColFact = (String, HeadFact);
 
 /// COL under the shared round driver: rules fire against the settled
 /// [`ColState`], and a rule's delta position reads the previous round's
@@ -890,10 +255,10 @@ impl Col {
 }
 
 impl Engine for Col {
-    type Rule = ColPlan;
+    type Rule = Plan;
     type State = ColState;
     type Delta = ColDelta;
-    type Indexes = IndexSet;
+    type Indexes = Indexes;
     type Fact = ColFact;
     type Error = ColEvalError;
 
@@ -912,86 +277,47 @@ impl Engine for Col {
         state.total_facts()
     }
 
-    fn classify(&self, rules: &[(usize, &ColPlan)]) -> Vec<RuleClass> {
-        match self.strategy {
-            ColStrategy::Naive => vec![RuleClass::Snapshot; rules.len()],
-            ColStrategy::Seminaive => {
-                let run_symbols: BTreeSet<&str> =
-                    rules.iter().map(|(_, p)| p.rule.head_symbol()).collect();
-                rules
-                    .iter()
-                    .map(|(_, p)| classify(&p.rule, &run_symbols))
-                    .collect()
-            }
-        }
+    /// Under stratified semantics the snapshot class never arises —
+    /// stratification lifts strong dependencies to higher strata — so it
+    /// only appears under inflationary semantics, where full
+    /// re-evaluation against the pre-round state is exactly the naive
+    /// semantics of those rules.
+    fn classify(&self, rules: &[(usize, &Plan)]) -> Vec<RuleClass> {
+        plan::classify(rules, self.strategy == ColStrategy::Naive)
     }
 
-    fn probes(&self, plan: &ColPlan, delta: Option<usize>, out: &mut Probes) {
-        for (i, name) in &plan.indexed {
-            if delta != Some(*i) {
-                out.entry(name.clone()).or_default().insert(0);
-            }
-        }
+    fn probes(&self, plan: &Plan, delta: Option<usize>, out: &mut Probes) {
+        plan.probes(delta, out);
     }
 
-    /// Missing relations get an (empty) index too: a probe against an
-    /// empty relation still counts as a probe.
-    fn index(&self, state: &ColState, keep: &Probes, indexes: &mut IndexSet) {
-        indexes.retain(|name, col| keep.get(name).is_some_and(|k| k.contains(&col)));
-        let empty = Instance::empty();
-        for (name, cols) in keep {
-            for &col in cols {
-                indexes.of_col(name, col, state.preds.get(name).unwrap_or(&empty));
-            }
-        }
+    fn index(&self, state: &ColState, keep: &Probes, indexes: &mut Indexes) {
+        plan::index(state, keep, indexes);
     }
 
     fn fire(
         &self,
         unit: &Unit<'_, Self>,
         state: &ColState,
-        indexes: &IndexSet,
+        indexes: &Indexes,
         want_prov: bool,
         out: &mut Vec<Derived<ColFact>>,
         stats: &mut EvalStats,
         brake: &ParBrake,
     ) -> Result<(), ColEvalError> {
         let plan = unit.rule;
-        let delta = unit.delta();
-        let empty = Instance::empty();
-        let mut scratch = EvalStats::default();
-        let mut frames = vec![plan.frame()];
-        for i in 0..plan.body.len() {
-            if brake.should_stop() {
-                return Ok(());
-            }
-            let delta_read = match delta {
-                Some((d, pos)) if pos == i => Some(d),
-                _ => None,
-            };
-            let st: &mut EvalStats = if unit.count_prefix || delta.is_none_or(|(_, pos)| i >= pos) {
-                stats
-            } else {
-                &mut scratch
-            };
-            frames = plan.join(i, frames, state, delta_read, indexes, &empty, st)?;
-            if frames.is_empty() {
-                break;
-            }
-        }
-        let produced = frames.len() as u64;
-        stats.tuples_derived += produced;
-        if !brake.charge(produced) {
+        let delta = unit.delta().map(|(d, pos)| (pos, d.at(&plan.body[pos])));
+        let count_prefix = unit.count_prefix;
+        let Some(frames) = plan.fire(state, indexes, delta, count_prefix, brake, stats)? else {
             return Ok(());
-        }
+        };
         for f in &frames {
             let parents = if want_prov {
-                Some(plan.parents(f, state)?)
+                Some(plan.parents(f, &state.funcs)?)
             } else {
                 None
             };
             out.push(Derived {
-                fact: plan.head_fact(f, state)?,
+                fact: (plan.defines().to_owned(), plan.head(f, &state.funcs)?),
                 rule: unit.idx,
                 parents,
             });
@@ -1001,52 +327,42 @@ impl Engine for Col {
 
     /// Shards hold just the symbol read at `pos`, partitioned by stable
     /// fact hash.
-    fn shard(&self, plan: &ColPlan, pos: usize, delta: &ColDelta, workers: usize) -> Vec<ColDelta> {
-        match &plan.rule.body[pos] {
-            ColLiteral::Pred { name, .. } => {
-                let Some(rows) = delta.preds.get(name) else {
-                    return Vec::new();
-                };
-                let mut shards: Vec<Instance> = (0..workers).map(|_| Instance::empty()).collect();
-                for row in rows.iter() {
-                    shards[shard_of(row, workers)].insert(row.clone());
-                }
-                shards
-                    .into_iter()
-                    .filter(|s| !s.is_empty())
-                    .map(|s| ColDelta {
-                        preds: BTreeMap::from([(name.clone(), s)]),
-                        funcs: BTreeMap::new(),
-                    })
-                    .collect()
+    fn shard(&self, plan: &Plan, pos: usize, delta: &ColDelta, workers: usize) -> Vec<ColDelta> {
+        let step = &plan.body[pos];
+        if let Some((name, rows)) = step.pred().and_then(|p| delta.preds.get_key_value(p)) {
+            let mut shards: Vec<Instance> = (0..workers).map(|_| Instance::empty()).collect();
+            for row in rows.iter() {
+                shards[shard_of(row, workers)].insert(row.clone());
             }
-            ColLiteral::Member {
-                set: ColTerm::Apply(f, _),
-                ..
-            } => {
-                let Some(graph) = delta.funcs.get(f) else {
-                    return Vec::new();
-                };
-                let mut shards: Vec<FuncGraph> = (0..workers).map(|_| BTreeMap::new()).collect();
-                for (args, elems) in graph {
-                    for e in elems {
-                        shards[shard_of(&(args, e), workers)]
-                            .entry(args.clone())
-                            .or_default()
-                            .insert(e.clone());
-                    }
-                }
-                shards
-                    .into_iter()
-                    .filter(|g| !g.is_empty())
-                    .map(|g| ColDelta {
-                        preds: BTreeMap::new(),
-                        funcs: BTreeMap::from([(f.clone(), g)]),
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
+            return shards
+                .into_iter()
+                .filter(|s| !s.is_empty())
+                .map(|s| ColDelta {
+                    preds: BTreeMap::from([(name.clone(), s)]),
+                    funcs: BTreeMap::new(),
+                })
+                .collect();
         }
+        let Some((f, graph)) = step.symbol().and_then(|f| delta.funcs.get_key_value(f)) else {
+            return Vec::new();
+        };
+        let mut shards: Vec<FuncGraph> = (0..workers).map(|_| BTreeMap::new()).collect();
+        for (args, elems) in graph {
+            for e in elems {
+                shards[shard_of(&(args, e), workers)]
+                    .entry(args.clone())
+                    .or_default()
+                    .insert(e.clone());
+            }
+        }
+        shards
+            .into_iter()
+            .filter(|g| !g.is_empty())
+            .map(|g| ColDelta {
+                preds: BTreeMap::new(),
+                funcs: BTreeMap::from([(f.clone(), g)]),
+            })
+            .collect()
     }
 
     fn delta_len(&self, d: &ColDelta) -> u64 {
@@ -1060,39 +376,39 @@ impl Engine for Col {
         p + f
     }
 
-    fn settled(&self, state: &ColState, fact: &ColFact) -> bool {
+    fn settled(&self, state: &ColState, (symbol, fact): &ColFact) -> bool {
         match fact {
-            ColFact::Pred { name, row } => state.preds.get(name).is_some_and(|r| r.contains(row)),
-            ColFact::Func { func, args, elem } => state
+            HeadFact::Row(row) => state.preds.get(symbol).is_some_and(|r| r.contains(row)),
+            HeadFact::Member(args, elem) => state
                 .funcs
-                .get(func)
+                .get(symbol)
                 .and_then(|graph| graph.get(args))
                 .is_some_and(|slot| slot.contains(elem)),
         }
     }
 
     /// Each admitted fact is inserted in admission order, noted in the
-    /// kept index of its relation, and moved into the delta.
+    /// kept indexes of its relation, and moved into the delta.
     fn commit(
         &self,
         state: &mut ColState,
-        indexes: &mut IndexSet,
+        indexes: &mut Indexes,
         facts: Vec<ColFact>,
         _: Vec<ColFact>,
     ) -> ColDelta {
         let mut delta = ColDelta::default();
-        for fact in facts {
+        for (symbol, fact) in facts {
             match fact {
-                ColFact::Pred { name, row } => {
-                    state.insert_pred_row(&name, &row);
-                    if let Some(inst) = state.preds.get(&name) {
-                        indexes.note_insert(&name, &row, inst);
+                HeadFact::Row(row) => {
+                    state.insert_pred_row(&symbol, &row);
+                    if indexes.contains_key(&symbol) {
+                        plan::note_insert(indexes, &symbol, Pool::global().intern(&row));
                     }
-                    delta.preds.entry(name).or_default().insert(row);
+                    delta.preds.entry(symbol).or_default().insert(row);
                 }
-                ColFact::Func { func, args, elem } => {
-                    state.insert_func_member(&func, &args, &elem);
-                    let graph = delta.funcs.entry(func).or_default();
+                HeadFact::Member(args, elem) => {
+                    state.insert_func_member(&symbol, &args, &elem);
+                    let graph = delta.funcs.entry(symbol).or_default();
                     graph.entry(args).or_default().insert(elem);
                 }
             }
@@ -1100,10 +416,10 @@ impl Engine for Col {
         delta
     }
 
-    fn render(&self, fact: &ColFact) -> String {
+    fn render(&self, (symbol, fact): &ColFact) -> String {
         match fact {
-            ColFact::Pred { name, row } => render_pred_fact(name, row),
-            ColFact::Func { func, args, elem } => render_func_fact(func, args, elem),
+            HeadFact::Row(row) => render_pred_fact(symbol, row),
+            HeadFact::Member(args, elem) => render_func_fact(symbol, args, elem),
         }
     }
 
@@ -1124,95 +440,6 @@ impl Engine for Col {
         col_decode(&rec.payload)
     }
 }
-
-/// True if the term evaluates the set value of a function defined in this
-/// run (an Apply used as a term — a non-monotone read).
-fn reads_run_apply(t: &ColTerm, run: &BTreeSet<&str>) -> bool {
-    let mut fs = Vec::new();
-    t.collect_applies(&mut fs);
-    fs.iter().any(|f| run.contains(f.as_str()))
-}
-
-/// Classify one rule against the set of symbols defined in this engine
-/// run. Mirrors the dependency discipline of [`crate::col::stratify`]:
-/// delta-able reads are exactly the *positive* dependencies, non-monotone
-/// reads are exactly the *strong* ones.
-fn classify(rule: &ColRule, run_symbols: &BTreeSet<&str>) -> RuleClass {
-    let mut strong = false;
-    let mut positions: Vec<usize> = Vec::new();
-    for (i, lit) in rule.body.iter().enumerate() {
-        match lit {
-            ColLiteral::Pred {
-                name,
-                args,
-                positive,
-            } => {
-                if args.iter().any(|a| reads_run_apply(a, run_symbols)) {
-                    strong = true;
-                }
-                if run_symbols.contains(name.as_str()) {
-                    if *positive {
-                        positions.push(i);
-                    } else {
-                        strong = true;
-                    }
-                }
-            }
-            ColLiteral::Member {
-                elem,
-                set,
-                positive,
-            } => {
-                if reads_run_apply(elem, run_symbols) {
-                    strong = true;
-                }
-                if let ColTerm::Apply(f, fargs) = set {
-                    if fargs.iter().any(|a| reads_run_apply(a, run_symbols)) {
-                        strong = true;
-                    }
-                    if run_symbols.contains(f.as_str()) {
-                        if *positive {
-                            positions.push(i);
-                        } else {
-                            strong = true;
-                        }
-                    }
-                } else if reads_run_apply(set, run_symbols) {
-                    strong = true;
-                }
-            }
-            ColLiteral::Eq { left, right, .. } => {
-                if reads_run_apply(left, run_symbols) || reads_run_apply(right, run_symbols) {
-                    strong = true;
-                }
-            }
-        }
-    }
-    match &rule.head {
-        ColHead::Pred { args, .. } => {
-            if args.iter().any(|a| reads_run_apply(a, run_symbols)) {
-                strong = true;
-            }
-        }
-        ColHead::FuncMember { args, elem, .. } => {
-            if args.iter().any(|a| reads_run_apply(a, run_symbols))
-                || reads_run_apply(elem, run_symbols)
-            {
-                strong = true;
-            }
-        }
-    }
-    if strong {
-        RuleClass::Snapshot
-    } else if positions.is_empty() {
-        RuleClass::Constant
-    } else {
-        RuleClass::Seminaive(positions)
-    }
-}
-
-type FuncGraph = BTreeMap<Vec<Value>, BTreeSet<Value>>;
-type FuncGraphs = BTreeMap<String, FuncGraph>;
 
 fn put_funcs(e: &mut ckpt::Enc, funcs: &FuncGraphs) {
     e.put_usize(funcs.len());
@@ -1311,8 +538,12 @@ fn governed(
     stats: &mut EvalStats,
 ) -> Result<ColState, ColEvalError> {
     let fingerprint = || col_fingerprint(kind, engine.strategy, prog, db);
-    let plans: Vec<ColPlan> = prog.rules.iter().map(ColPlan::compile).collect();
-    let strata: Vec<Vec<(usize, &ColPlan)>> = strata
+    let plans: Vec<Plan> = prog
+        .rules
+        .iter()
+        .map(|r| Plan::compile(r, Dialect::Col))
+        .collect();
+    let strata: Vec<Vec<(usize, &Plan)>> = strata
         .iter()
         .map(|rules| rules.iter().map(|&i| (i, &plans[i])).collect())
         .collect();
@@ -1662,6 +893,7 @@ mod tests {
 
     #[test]
     fn classification_follows_dependency_discipline() {
+        let classify = |rule: &ColRule, run| Plan::compile(rule, Dialect::Col).class(run);
         let prog = tc_prog();
         let run: BTreeSet<&str> = ["T"].into_iter().collect();
         // T(x,y) ← E(x,y): reads only EDB

@@ -13,7 +13,7 @@
 //! inflationary DATALOG¬ — the asymmetry that Theorem 5.1 shows disappears
 //! for COL with untyped sets.
 
-use crate::plan::{slot_of, DeltaJoin, DlPlan, IdIndex, Read};
+use crate::plan::{self, render_pred_fact, slot_of, DeltaIn, Indexes, Plan, Unbound};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use uset_guard::ckpt;
@@ -152,14 +152,17 @@ impl fmt::Display for DlError {
 
 impl std::error::Error for DlError {}
 
+impl From<Unbound> for DlError {
+    fn from(u: Unbound) -> DlError {
+        DlError::UnboundAtFiring {
+            var: u.var,
+            pred: u.at,
+        }
+    }
+}
+
 /// Engine label carried by every DATALOG¬ trace event.
 const ENGINE: &str = "datalog";
-
-/// Canonical fact rendering shared by provenance events and the
-/// `why(fact)` API: predicate name followed by the stored row value.
-pub fn render_fact(pred: &str, row: &Value) -> String {
-    format!("{pred}{row}")
-}
 
 impl DatalogProgram {
     /// Build from rules.
@@ -334,8 +337,8 @@ impl DatalogProgram {
     ) -> Result<Database, DlError> {
         let fingerprint = || dl_fingerprint(kind, &self.rules, db);
         let engine = Dl::new(naive, &self.rules);
-        let plans: Vec<DlPlan> = self.rules.iter().map(DlPlan::compile).collect();
-        let strata: Vec<Vec<(usize, &DlPlan)>> = strata
+        let plans: Vec<Plan> = self.rules.iter().map(Plan::datalog).collect();
+        let strata: Vec<Vec<(usize, &Plan)>> = strata
             .iter()
             .map(|rules| rules.iter().map(|&i| (i, &plans[i])).collect())
             .collect();
@@ -493,9 +496,6 @@ type DlFact = (usize, ObjRef);
 /// A round's delta: predicate → its new row ids, in canonical order.
 type DlDelta = BTreeMap<String, Vec<ObjRef>>;
 
-/// The settled state's indexes, per predicate and column.
-type DlIndexes = BTreeMap<String, BTreeMap<usize, IdIndex>>;
-
 /// A delta's rows as values, the shape checkpoints encode.
 fn delta_rows(delta: &DlDelta) -> BTreeMap<String, Instance> {
     let pool = Pool::global();
@@ -504,10 +504,10 @@ fn delta_rows(delta: &DlDelta) -> BTreeMap<String, Instance> {
 }
 
 impl Engine for Dl {
-    type Rule = DlPlan;
+    type Rule = Plan;
     type State = Database;
     type Delta = DlDelta;
-    type Indexes = DlIndexes;
+    type Indexes = Indexes;
     type Fact = DlFact;
     type Error = DlError;
 
@@ -522,66 +522,20 @@ impl Engine for Dl {
         state.iter().map(|(_, inst)| inst.len()).sum()
     }
 
-    /// A rule is delta-restricted at its positive literals over the
-    /// stratum's own predicates. Rules that read such a predicate through
+    /// A rule that reads one of the stratum's own predicates through
     /// **negation** (only reachable when an unstratified program runs as
-    /// one stratum) never qualify: their support is not monotone in the
-    /// delta, so they re-fire from the full snapshot every round.
-    fn classify(&self, rules: &[(usize, &DlPlan)]) -> Vec<RuleClass> {
-        if self.naive {
-            return vec![RuleClass::Snapshot; rules.len()];
-        }
-        let recursive: BTreeSet<&str> = rules.iter().map(|(_, r)| r.head_pred()).collect();
-        let reads = |pred: &String| recursive.contains(pred.as_str());
-        rules
-            .iter()
-            .map(|(_, plan)| {
-                let positions: Vec<usize> = plan
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.positive && reads(&l.pred))
-                    .map(|(i, _)| i)
-                    .collect();
-                if plan.body.iter().any(|l| !l.positive && reads(&l.pred)) {
-                    RuleClass::Snapshot
-                } else if positions.is_empty() {
-                    RuleClass::Constant
-                } else {
-                    RuleClass::Seminaive(positions)
-                }
-            })
-            .collect()
+    /// one stratum) is a snapshot: its support is not monotone in the
+    /// delta, so it re-fires from the full state every round.
+    fn classify(&self, rules: &[(usize, &Plan)]) -> Vec<RuleClass> {
+        plan::classify(rules, self.naive)
     }
 
-    /// Every positive literal with a probe column probes the settled
-    /// state, except the one reading the delta.
-    fn probes(&self, plan: &DlPlan, delta: Option<usize>, out: &mut Probes) {
-        for (i, step) in plan.body.iter().enumerate() {
-            if let (true, Some(col)) = (step.positive && delta != Some(i), step.probe) {
-                out.entry(step.pred.clone()).or_default().insert(col);
-            }
-        }
+    fn probes(&self, plan: &Plan, delta: Option<usize>, out: &mut Probes) {
+        plan.probes(delta, out);
     }
 
-    /// Missing relations get an (empty) index too: a probe against an
-    /// empty relation still counts as a probe.
-    fn index(&self, state: &Database, keep: &Probes, indexes: &mut DlIndexes) {
-        let kept = |pred: &str, col: usize| keep.get(pred).is_some_and(|k| k.contains(&col));
-        let empty = Instance::empty();
-        indexes.retain(|pred, cols| {
-            cols.retain(|&col, _| kept(pred, col));
-            !cols.is_empty()
-        });
-        for (pred, cols) in keep {
-            let rel = state.get_ref(pred).unwrap_or(&empty);
-            let built = indexes.entry(pred.clone()).or_default();
-            for &col in cols {
-                built
-                    .entry(col)
-                    .or_insert_with(|| IdIndex::build_on(rel, col));
-            }
-        }
+    fn index(&self, state: &Database, keep: &Probes, indexes: &mut Indexes) {
+        plan::index(state, keep, indexes);
     }
 
     /// A semi-naive unit joins its delta literal through a hash of the
@@ -597,7 +551,7 @@ impl Engine for Dl {
         &self,
         unit: &Unit<'_, Self>,
         state: &Database,
-        indexes: &DlIndexes,
+        indexes: &Indexes,
         want_prov: bool,
         out: &mut Vec<Derived<Self::Fact>>,
         stats: &mut EvalStats,
@@ -608,54 +562,26 @@ impl Engine for Dl {
         // name simulates a buggy rule implementation blowing up on a
         // worker, so the structured-error path is testable end to end
         #[cfg(test)]
-        if plan.head_pred() == "panic-inject!" {
+        if plan.defines() == "panic-inject!" {
             panic!("injected rule panic");
         }
-        let empty = Instance::empty();
-        let delta = unit.delta();
-        let mut scratch = EvalStats::default();
-        let mut frames = vec![plan.frame()];
-        for (i, step) in plan.body.iter().enumerate() {
-            if brake.should_stop() {
-                return Ok(());
-            }
-            let st: &mut EvalStats = if unit.count_prefix || delta.is_none_or(|(_, pos)| i >= pos) {
-                stats
-            } else {
-                &mut scratch
-            };
-            frames = match delta {
-                Some((d, pos)) if pos == i => {
-                    let rows = d.get(&step.pred).map_or(&[][..], Vec::as_slice);
-                    let join = DeltaJoin::new(rows.iter().copied(), step.probe);
-                    plan.join(i, &frames, Read::DeltaIds(&join), st)?
-                }
-                _ => {
-                    let rel = state.get_ref(&step.pred).unwrap_or(&empty);
-                    let index = step
-                        .probe
-                        .and_then(|col| indexes.get(&step.pred)?.get(&col));
-                    plan.join(i, &frames, Read::Settled(rel, index), st)?
-                }
-            };
-            if frames.is_empty() {
-                break;
-            }
-        }
-        let produced = frames.len() as u64;
-        stats.tuples_derived += produced;
-        if !brake.charge(produced) {
+        let delta = unit.delta().map(|(d, pos)| {
+            let rows = plan.body[pos].pred().and_then(|p| d.get(p));
+            (pos, DeltaIn::Ids(rows.map_or(&[], Vec::as_slice)))
+        });
+        let count_prefix = unit.count_prefix;
+        let Some(frames) = plan.fire(state, indexes, delta, count_prefix, brake, stats)? else {
             return Ok(());
-        }
+        };
         let pred = self.heads[unit.idx];
-        let head_rel = state.get_ref(plan.head_pred());
+        let head_rel = state.get_ref(plan.defines());
         for f in &frames {
             let id = plan.head_id(f)?;
             if head_rel.and_then(|rel| rel.contains_ref(id)) == Some(true) {
                 continue;
             }
             let parents = if want_prov {
-                Some(plan.parents(f)?)
+                Some(plan.parents(f, &plan::NO_FUNCS)?)
             } else {
                 None
             };
@@ -670,9 +596,8 @@ impl Engine for Dl {
 
     /// Rows shard by the stable hash of their value, so each shard is
     /// the one a value delta would give, in canonical order.
-    fn shard(&self, plan: &DlPlan, pos: usize, delta: &DlDelta, workers: usize) -> Vec<DlDelta> {
-        let pred = &plan.body[pos].pred;
-        let Some(rows) = delta.get(pred) else {
+    fn shard(&self, plan: &Plan, pos: usize, delta: &DlDelta, workers: usize) -> Vec<DlDelta> {
+        let Some((pred, rows)) = plan.body[pos].pred().and_then(|p| delta.get_key_value(p)) else {
             return Vec::new();
         };
         let pool = Pool::global();
@@ -706,7 +631,7 @@ impl Engine for Dl {
     fn commit(
         &self,
         state: &mut Database,
-        indexes: &mut DlIndexes,
+        indexes: &mut Indexes,
         facts: Vec<DlFact>,
         turned_away: Vec<DlFact>,
     ) -> DlDelta {
@@ -723,9 +648,7 @@ impl Engine for Dl {
         };
         let mut rows: BTreeMap<usize, Vec<(Value, ObjRef)>> = BTreeMap::new();
         for (pred, id) in facts {
-            if let Some(cols) = indexes.get_mut(&self.preds[pred]) {
-                cols.values_mut().for_each(|idx| idx.insert(id));
-            }
+            plan::note_insert(indexes, &self.preds[pred], id);
             rows.entry(pred).or_default().push((tree(id), id));
         }
         let mut delta = DlDelta::new();
@@ -744,7 +667,7 @@ impl Engine for Dl {
     }
 
     fn render(&self, (pred, row): &DlFact) -> String {
-        render_fact(&self.preds[*pred], &Pool::global().resolve(*row))
+        render_pred_fact(&self.preds[*pred], &Pool::global().resolve(*row))
     }
 
     /// Each round appends an engine-level delta record; the full state is
@@ -785,7 +708,8 @@ impl Engine for Dl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{Frame, Overlay};
+    use crate::plan::{DeltaJoin, Frame, Overlay, Probe, Read, NO_FUNCS};
+    use uset_object::IdIndex;
     use uset_object::{atom, tuple};
 
     fn v(name: &str) -> DlTerm {
@@ -842,10 +766,10 @@ mod tests {
                 ),
             ],
         );
-        let plan = DlPlan::compile(&rule);
+        let plan = Plan::datalog(&rule);
         let frames = vec![plan.frame()];
         // Q(y, z) ← E(y, z), E(z, 9), E(y, y)
-        let bound = DlPlan::compile(&DlRule::new(
+        let bound = Plan::datalog(&DlRule::new(
             DlAtom::new("Q", vec![v("y"), v("z")]),
             vec![
                 (true, DlAtom::new("E", vec![v("y"), v("z")])),
@@ -854,12 +778,13 @@ mod tests {
             ],
         ));
         // E(z, 9) is ground when reached: its probe column is bound
-        assert_eq!(bound.body[1].probe, Some(0));
+        assert_eq!(bound.body[1].probe, Probe::Column(0));
         let all = bound
             .join(
                 0,
-                &[bound.frame()],
+                vec![bound.frame()],
                 Read::Scan(Overlay::plain(&big)),
+                &NO_FUNCS,
                 &mut EvalStats::default(),
             )
             .unwrap();
@@ -873,35 +798,47 @@ mod tests {
                 .collect()
         };
         let idx = IdIndex::build_on(&rel, 0);
-        let delta = DeltaJoin::new(rel.iter(), plan.body[0].probe);
+        let delta = DeltaJoin::new(rel.iter(), &plan.body[0]);
         let heads = |fs: Vec<Frame<'_>>| -> Vec<Value> {
             let head = |f| Pool::global().resolve(plan.head_id(f).unwrap());
             fs.iter().map(head).collect()
         };
 
         let mut stats = EvalStats::default();
-        let mut join = |read| plan.join(0, &frames, read, &mut stats).unwrap();
+        let mut join = |read| {
+            plan.join(0, frames.clone(), read, &NO_FUNCS, &mut stats)
+                .unwrap()
+        };
         let hit = heads(join(Read::Settled(&rel, Some(&idx))));
         let scan = heads(join(Read::Settled(&rel, None)));
         let plain = heads(join(Read::Scan(Overlay::plain(&rel))));
         let hashed = heads(join(Read::Delta(&delta)));
         let negated = plan
-            .join(1, &frames, Read::Scan(Overlay::plain(&rel)), &mut stats)
+            .join(
+                1,
+                frames,
+                Read::Scan(Overlay::plain(&rel)),
+                &NO_FUNCS,
+                &mut stats,
+            )
             .unwrap();
         for base in [&rel, &big] {
             let mut probed = EvalStats::default();
             let read = Read::Scan(Overlay::plain(base));
-            let member = bound.join(1, &all, read, &mut probed).unwrap();
+            let member = bound
+                .join(1, all.clone(), read, &NO_FUNCS, &mut probed)
+                .unwrap();
             let scanned = bound
                 .join(
                     1,
-                    &all,
+                    all.clone(),
                     Read::Settled(base, None),
+                    &NO_FUNCS,
                     &mut EvalStats::default(),
                 )
                 .unwrap();
             assert_eq!(slots(&member), slots(&scanned), "membership ≡ scan");
-            let none = bound.join(2, &member, read, &mut probed).unwrap();
+            let none = bound.join(2, member, read, &NO_FUNCS, &mut probed).unwrap();
             assert!(none.is_empty(), "no E(y, y) row");
             assert_eq!(probed, EvalStats::default(), "membership counts nothing");
         }
@@ -918,7 +855,7 @@ mod tests {
     fn seminaive_tc_probes_no_settled_index_after_its_first_round() {
         let prog = tc_program();
         let engine = Dl::new(false, &prog.rules);
-        let plan = DlPlan::compile(&prog.rules[1]);
+        let plan = Plan::datalog(&prog.rules[1]);
         let mut first = Probes::new();
         engine.probes(&plan, None, &mut first);
         assert_eq!(first, Probes::from([("T".into(), [0].into())]));

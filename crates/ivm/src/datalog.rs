@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use uset_deductive::plan::DlPlan;
+use uset_deductive::plan::{Plan, Step};
 use uset_deductive::{DatalogProgram, DlError};
 use uset_guard::ckpt::codec::{Dec, Enc};
 use uset_guard::trace::TraceEvent;
@@ -33,7 +33,7 @@ use uset_opt::{maintenance_plan, MaintPlan, MaintStratum, StratumPlan};
 use uset_par::par_map;
 
 use crate::delta::{DeltaBatch, DeltaLog, NormalBatch};
-use crate::fire::{delta_heads, holds_id, Delta, Store, View};
+use crate::fire::{delta_heads, holds_id, pred, Delta, Store, View};
 use crate::{ApplyReport, IvmError, IvmMode, Semantics};
 
 /// A long-lived materialized DATALOG¬ fixpoint that absorbs EDB delta
@@ -41,7 +41,7 @@ use crate::{ApplyReport, IvmError, IvmMode, Semantics};
 pub struct DatalogSession {
     prog: DatalogProgram,
     /// Each rule compiled once, for every delta-rule firing.
-    plans: Vec<DlPlan>,
+    plans: Vec<Plan>,
     semantics: Semantics,
     plan: MaintPlan,
     governor: Governor,
@@ -233,9 +233,9 @@ impl DatalogSession {
             }
             (_, IvmMode::Auto) => maintenance_plan(&prog),
         };
-        let plans: Vec<DlPlan> = prog.rules.iter().map(DlPlan::compile).collect();
+        let plans: Vec<Plan> = prog.rules.iter().map(Plan::datalog).collect();
         // only incremental maintenance reads the index
-        let indexed: &[DlPlan] = match &plan {
+        let indexed: &[Plan] = match &plan {
             MaintPlan::Incremental(_) => &plans,
             MaintPlan::Recompute(_) => &[],
         };
@@ -501,7 +501,7 @@ fn db_diff(old: &Database, new: &Database) -> (u64, u64) {
 /// defining rule's body once against the freshly built state: the count
 /// of a fact is exactly its number of (rule, binding) derivations.
 fn init_counts(
-    plans: &[DlPlan],
+    plans: &[Plan],
     strata: &[MaintStratum],
     state: &Store,
     counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
@@ -516,7 +516,7 @@ fn init_counts(
             guard.step()?;
             let plan = &plans[ri];
             let heads = delta_heads(plan, plan.frame(), None, View::New, View::New, state, stats)?;
-            let pc = counts.entry(plan.head_pred().to_owned()).or_default();
+            let pc = counts.entry(plan.defines().to_owned()).or_default();
             for id in heads {
                 *pc.entry(Pool::global().resolve(id)).or_insert(0) += 1;
             }
@@ -526,18 +526,18 @@ fn init_counts(
 }
 
 /// Does any rule of this stratum consume a relation the batch changed?
-fn stratum_touched(plans: &[DlPlan], stratum: &MaintStratum, log: &DeltaLog) -> bool {
+fn stratum_touched(plans: &[Plan], stratum: &MaintStratum, log: &DeltaLog) -> bool {
     stratum.rules.iter().any(|&ri| {
         plans[ri]
             .body
             .iter()
-            .any(|step| log.delta(&step.pred).is_some())
+            .any(|step| log.delta(pred(step)).is_some())
     })
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run_incremental(
-    plans: &[DlPlan],
+    plans: &[Plan],
     strata: &[MaintStratum],
     norm: &NormalBatch,
     edb: &mut Database,
@@ -621,7 +621,7 @@ fn run_incremental(
 /// positive.
 #[allow(clippy::too_many_arguments)]
 fn maintain_counting(
-    plans: &[DlPlan],
+    plans: &[Plan],
     stratum: &MaintStratum,
     edb: &Database,
     state: &mut Store,
@@ -638,7 +638,7 @@ fn maintain_counting(
     for &ri in &stratum.rules {
         let plan = &plans[ri];
         for (i, lit) in plan.body.iter().enumerate() {
-            let Some(d) = log.delta(&lit.pred) else {
+            let Some(d) = log.delta(pred(lit)) else {
                 continue;
             };
             // a negated literal is its relation's complement: rows
@@ -662,7 +662,7 @@ fn maintain_counting(
                     state,
                     stats,
                 )?;
-                let by_id = signed.entry(plan.head_pred()).or_default();
+                let by_id = signed.entry(plan.defines()).or_default();
                 for id in heads {
                     *by_id.entry(id).or_insert(0) += sign;
                 }
@@ -760,7 +760,7 @@ fn consider_delete(
 /// Can the deleted fact with pool id `row` still be derived from the
 /// current state?
 fn rederivable(
-    plans: &[DlPlan],
+    plans: &[Plan],
     stratum: &MaintStratum,
     pred: &str,
     row: ObjRef,
@@ -769,7 +769,7 @@ fn rederivable(
 ) -> Result<bool, DlError> {
     for &ri in &stratum.rules {
         let plan = &plans[ri];
-        if plan.head_pred() != pred {
+        if plan.defines() != pred {
             continue;
         }
         let Some(seed) = plan.seed(row) else {
@@ -796,7 +796,7 @@ fn rederivable(
 /// propagates them semi-naively within the stratum.
 #[allow(clippy::too_many_arguments)]
 fn maintain_dred(
-    plans: &[DlPlan],
+    plans: &[Plan],
     stratum: &MaintStratum,
     edb: &Database,
     state: &mut Store,
@@ -812,63 +812,11 @@ fn maintain_dred(
 
     // ---- phase 1: over-delete at old views -------------------------
     let mut deleted = ById::new();
-    let mut pending = Pending::new();
-    for &ri in &stratum.rules {
-        let plan = &plans[ri];
-        for (i, lit) in plan.body.iter().enumerate() {
-            if stratum.preds.contains(&lit.pred) {
-                continue;
-            }
-            let Some(d) = log.delta(&lit.pred) else {
-                continue;
-            };
-            let loss = if lit.positive { &d.removed } else { &d.added };
-            if loss.is_empty() {
-                continue;
-            }
-            guard.step()?;
-            let heads = delta_heads(
-                plan,
-                plan.frame(),
-                Some((i, Delta::Set(loss))),
-                View::Old(log),
-                View::Old(log),
-                state,
-                stats,
-            )?;
-            for id in heads {
-                consider_delete(plan.head_pred(), id, state, edb, &mut deleted, &mut pending);
-            }
-        }
-    }
-    while !pending.is_empty() {
-        let cur = std::mem::take(&mut pending);
-        stats.rounds += 1;
-        for &ri in &stratum.rules {
-            let plan = &plans[ri];
-            for (i, lit) in plan.body.iter().enumerate() {
-                if !lit.positive || !stratum.preds.contains(&lit.pred) {
-                    continue;
-                }
-                let Some(rows) = cur.get(&lit.pred) else {
-                    continue;
-                };
-                guard.step()?;
-                let heads = delta_heads(
-                    plan,
-                    plan.frame(),
-                    Some((i, Delta::Rows(rows))),
-                    View::Old(log),
-                    View::Old(log),
-                    state,
-                    stats,
-                )?;
-                for id in heads {
-                    consider_delete(plan.head_pred(), id, state, edb, &mut deleted, &mut pending);
-                }
-            }
-        }
-    }
+    let over_delete = |pred: &str, id, state: &mut Store, _: &mut Guard, next: &mut Pending| {
+        consider_delete(pred, id, state, edb, &mut deleted, next);
+        Ok(())
+    };
+    propagate(plans, stratum, log, false, state, guard, stats, over_delete)?;
     // every later state mutation runs in canonical (relation, row) order
     let gone: Vec<(&str, &Value, ObjRef)> = deleted
         .iter()
@@ -931,80 +879,11 @@ fn maintain_dred(
     }
 
     // ---- phase 3: insertions, semi-naive within the stratum --------
-    let mut pending = Pending::new();
     let mut inserted: Vec<(String, Value, ObjRef)> = Vec::new();
-    for &ri in &stratum.rules {
-        let plan = &plans[ri];
-        for (i, lit) in plan.body.iter().enumerate() {
-            if stratum.preds.contains(&lit.pred) {
-                continue;
-            }
-            let Some(d) = log.delta(&lit.pred) else {
-                continue;
-            };
-            let gain = if lit.positive { &d.added } else { &d.removed };
-            if gain.is_empty() {
-                continue;
-            }
-            guard.step()?;
-            let heads = delta_heads(
-                plan,
-                plan.frame(),
-                Some((i, Delta::Set(gain))),
-                View::New,
-                View::New,
-                state,
-                stats,
-            )?;
-            for id in heads {
-                insert_new(
-                    plan.head_pred(),
-                    id,
-                    state,
-                    undo,
-                    guard,
-                    &mut pending,
-                    &mut inserted,
-                )?;
-            }
-        }
-    }
-    while !pending.is_empty() {
-        let cur = std::mem::take(&mut pending);
-        stats.rounds += 1;
-        for &ri in &stratum.rules {
-            let plan = &plans[ri];
-            for (i, lit) in plan.body.iter().enumerate() {
-                if !lit.positive || !stratum.preds.contains(&lit.pred) {
-                    continue;
-                }
-                let Some(rows) = cur.get(&lit.pred) else {
-                    continue;
-                };
-                guard.step()?;
-                let heads = delta_heads(
-                    plan,
-                    plan.frame(),
-                    Some((i, Delta::Rows(rows))),
-                    View::New,
-                    View::New,
-                    state,
-                    stats,
-                )?;
-                for id in heads {
-                    insert_new(
-                        plan.head_pred(),
-                        id,
-                        state,
-                        undo,
-                        guard,
-                        &mut pending,
-                        &mut inserted,
-                    )?;
-                }
-            }
-        }
-    }
+    let insert = |pred: &str, id, state: &mut Store, guard: &mut Guard, next: &mut Pending| {
+        insert_new(pred, id, state, undo, guard, next, &mut inserted)
+    };
+    propagate(plans, stratum, log, true, state, guard, stats, insert)?;
 
     // ---- net bookkeeping for downstream strata ---------------------
     for &(pred, row, id) in &gone {
@@ -1023,6 +902,70 @@ fn maintain_dred(
     }
     stats.observe_facts(total_facts(state.db()));
     Ok(out)
+}
+
+/// Push one side of a batch through a recursive stratum semi-naively:
+/// first each rule once per literal over a lower relation the batch
+/// changed on that side (its gains when `gains`, else its losses; a
+/// negated literal's side is its relation's other set), then, round by
+/// round, once per positive literal over the facts of the stratum's own
+/// relations `sink` queued in the round before. Every head derived goes
+/// to `sink`. Losses are read at the pre-batch views, gains at the
+/// current ones.
+#[allow(clippy::too_many_arguments)]
+fn propagate(
+    plans: &[Plan],
+    stratum: &MaintStratum,
+    log: &DeltaLog,
+    gains: bool,
+    state: &mut Store,
+    guard: &mut Guard,
+    stats: &mut EvalStats,
+    mut sink: impl FnMut(&str, ObjRef, &mut Store, &mut Guard, &mut Pending) -> Result<(), MaintErr>,
+) -> Result<(), MaintErr> {
+    let own = |lit: &Step| stratum.preds.contains(pred(lit));
+    let view = if gains { View::New } else { View::Old(log) };
+    let mut cur: Option<Pending> = None;
+    loop {
+        let mut next = Pending::new();
+        for &ri in &stratum.rules {
+            let plan = &plans[ri];
+            for (i, lit) in plan.body.iter().enumerate() {
+                let rows = match &cur {
+                    None if own(lit) => continue,
+                    None => {
+                        let Some(d) = log.delta(pred(lit)) else {
+                            continue;
+                        };
+                        let rows = if lit.positive == gains {
+                            &d.added
+                        } else {
+                            &d.removed
+                        };
+                        if rows.is_empty() {
+                            continue;
+                        }
+                        Delta::Set(rows)
+                    }
+                    Some(cur) => match cur.get(pred(lit)) {
+                        Some(rows) if lit.positive && own(lit) => Delta::Rows(rows),
+                        _ => continue,
+                    },
+                };
+                guard.step()?;
+                let delta = Some((i, rows));
+                let heads = delta_heads(plan, plan.frame(), delta, view, view, state, stats)?;
+                for id in heads {
+                    sink(plan.defines(), id, state, guard, &mut next)?;
+                }
+            }
+        }
+        if next.is_empty() {
+            return Ok(());
+        }
+        stats.rounds += 1;
+        cur = Some(next);
+    }
 }
 
 fn insert_new(

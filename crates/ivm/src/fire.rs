@@ -25,14 +25,13 @@
 //! session's id index ([`Store`]) when it reads the state itself. The
 //! literal order of the source rule is preserved, so a program that fires
 //! without unbound-variable errors from scratch fires identically here.
-//! Rules run as the from-scratch engine's compiled plans ([`DlPlan`]),
+//! Rules run as the from-scratch engine's compiled plans ([`Plan`]),
 //! compiled once per session, and derive heads as pool ids.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
-use uset_deductive::plan::{DeltaJoin, DlPlan, Frame, IdIndex, Overlay, Read};
+use uset_deductive::plan::{self, DeltaJoin, Frame, Overlay, Plan, Read, Step, NO_FUNCS};
 use uset_deductive::DlError;
-use uset_object::{Database, EvalStats, Instance, ObjRef, Pool, Value};
+use uset_object::{Database, EvalStats, IdIndex, Instance, ObjRef, Pool, Value};
 
 use crate::delta::DeltaLog;
 
@@ -57,10 +56,10 @@ pub(crate) struct Store {
 
 impl Store {
     /// Index `db` for `plans`; with no plans nothing is indexed.
-    pub fn new(db: Database, plans: &[DlPlan]) -> Store {
+    pub fn new(db: Database, plans: &[Plan]) -> Store {
         let mut index = BTreeMap::new();
         for step in plans.iter().flat_map(|p| &p.body).filter(|s| s.positive) {
-            index.entry(step.pred.clone()).or_default();
+            index.entry(pred(step).to_owned()).or_default();
         }
         let mut store = Store {
             db: Database::empty(),
@@ -126,13 +125,14 @@ pub(crate) fn holds_id(rel: Option<&Instance>, id: ObjRef) -> bool {
     })
 }
 
+/// The predicate a DATALOG¬ literal reads.
+pub(crate) fn pred(step: &Step) -> &str {
+    step.pred().expect("a DATALOG¬ literal reads a predicate")
+}
+
 /// Relation `pred` under `view`. An absent relation reads as empty.
 fn read<'a>(pred: &str, view: View<'a>, state: &'a Store) -> Overlay<'a> {
-    static EMPTY: OnceLock<Instance> = OnceLock::new();
-    let base = state
-        .db
-        .get_ref(pred)
-        .unwrap_or_else(|| EMPTY.get_or_init(Instance::empty));
+    let base = state.db.get_ref(pred).unwrap_or(plan::empty());
     if let View::Old(log) = view {
         if let Some(d) = log.delta(pred) {
             return Overlay::undoing(base, &d.added, &d.removed);
@@ -150,10 +150,10 @@ pub(crate) enum Delta<'a> {
 }
 
 impl<'a> Delta<'a> {
-    fn join(self, key: Option<usize>) -> DeltaJoin<&'a Value> {
+    fn join(self, step: &Step) -> DeltaJoin<&'a Value> {
         match self {
-            Delta::Set(rows) => DeltaJoin::new(rows, key),
-            Delta::Rows(rows) => DeltaJoin::new(rows, key),
+            Delta::Set(rows) => DeltaJoin::new(rows, step),
+            Delta::Rows(rows) => DeltaJoin::new(rows, step),
         }
     }
 
@@ -179,7 +179,7 @@ impl<'a> Delta<'a> {
 /// by seeding with the head binding of a deleted fact and checking
 /// non-emptiness.
 pub(crate) fn delta_heads<'a>(
-    plan: &DlPlan,
+    plan: &Plan,
     seed: Frame<'a>,
     delta: Option<(usize, Delta<'a>)>,
     left: View<'a>,
@@ -195,8 +195,8 @@ pub(crate) fn delta_heads<'a>(
         frames = match delta {
             Some((pos, rows)) if pos == i => {
                 if step.positive {
-                    let join = rows.join(step.probe);
-                    plan.join(i, &frames, Read::Delta(&join), stats)?
+                    let join = rows.join(step);
+                    plan.join(i, frames, Read::Delta(&join), &NO_FUNCS, stats)?
                 } else {
                     let mut kept = Vec::new();
                     for f in frames {
@@ -212,14 +212,14 @@ pub(crate) fn delta_heads<'a>(
                     Some((pos, _)) if i > pos => right,
                     _ => left,
                 };
-                let rel = read(&step.pred, view, state);
-                plan.join(i, &frames, Read::Scan(rel), stats)?
+                let rel = read(pred(step), view, state);
+                plan.join(i, frames, Read::Scan(rel), &NO_FUNCS, stats)?
             }
         };
     }
     stats.rules_fired += 1;
     stats.tuples_derived += frames.len() as u64;
-    frames.iter().map(|f| plan.head_id(f)).collect()
+    frames.iter().map(|f| Ok(plan.head_id(f)?)).collect()
 }
 
 #[cfg(test)]
@@ -312,126 +312,6 @@ mod tests {
         assert!(read("E", View::New, &store).contains(&edge(0, 1)));
     }
 
-    /// A frame's slot values, for comparing joins that bind by value
-    /// and by id; joins through the index and a scan may differ in order.
-    fn sorted_slots(frames: &[Frame<'_>]) -> Vec<Vec<Option<Value>>> {
-        let mut out: Vec<Vec<Option<Value>>> = frames
-            .iter()
-            .map(|f| {
-                f.iter()
-                    .map(|b| b.as_ref().map(|b| b.value().clone()))
-                    .collect()
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn index_probes_match_scans() {
-        let v = DlTerm::var;
-        let t = |args: Vec<DlTerm>| DlAtom::new("T", args);
-        let row = |items: &[u64]| Value::Tuple(items.iter().map(|&a| atom(a)).collect());
-        // binary and ternary rows side by side, plus a unary row and a
-        // non-tuple member: every probe meets rows of the wrong arity
-        let rows = [
-            row(&[0, 1]),
-            row(&[0, 2]),
-            row(&[1, 1]),
-            row(&[1, 3]),
-            row(&[2, 2]),
-            row(&[3, 2]),
-            row(&[1, 4, 4]),
-            row(&[1, 4, 5]),
-            row(&[2, 5, 5]),
-            row(&[1]),
-            atom(1),
-        ];
-        let mut db = Database::empty();
-        db.set("T", Instance::from_values(rows));
-        let rules = [
-            // a constant: T(1, z)
-            DlRule::new(
-                DlAtom::new("P", vec![v("z")]),
-                vec![(true, t(vec![DlTerm::Const(atom(1)), v("z")]))],
-            ),
-            // a repeated variable behind a bound column: T(y, z, z)
-            DlRule::new(
-                DlAtom::new("P", vec![v("x"), v("z")]),
-                vec![
-                    (true, t(vec![v("x"), v("y")])),
-                    (true, t(vec![v("y"), v("z"), v("z")])),
-                ],
-            ),
-            // column 1 bound only by the seed
-            DlRule::new(
-                DlAtom::new("P", vec![v("x")]),
-                vec![(true, t(vec![v("y"), v("x")]))],
-            ),
-        ];
-        let plans: Vec<DlPlan> = rules.iter().map(DlPlan::compile).collect();
-        let store = Store::new(db, &plans);
-        let seeds = [None, None, Some(row(&[2]))];
-        for (plan, seed) in plans.iter().zip(&seeds) {
-            let start = match seed {
-                Some(head) => plan.seed(Pool::global().intern(head)).unwrap(),
-                None => plan.frame(),
-            };
-            let (mut probed, mut scanned) = (vec![start.clone()], vec![start]);
-            for i in 0..plan.body.len() {
-                let mut stats = EvalStats::default();
-                let indexed = read("T", View::New, &store);
-                let plain = Overlay::plain(store.db().get_ref("T").unwrap());
-                probed = plan
-                    .join(i, &probed, Read::Scan(indexed), &mut stats)
-                    .unwrap();
-                scanned = plan
-                    .join(i, &scanned, Read::Scan(plain), &mut stats)
-                    .unwrap();
-                assert_eq!(
-                    stats,
-                    EvalStats::default(),
-                    "maintenance reads count nothing"
-                );
-                assert_eq!(sorted_slots(&probed), sorted_slots(&scanned), "literal {i}");
-            }
-            assert!(!probed.is_empty());
-            // the last literal had a bound column: its new slots hold ids
-            let by_id = probed[0].iter().flatten().any(|b| b.kept().is_none());
-            assert!(by_id, "the join probed the index");
-        }
-
-        // an old view with undo rows scans the pre-batch relation
-        let mut log = DeltaLog::default();
-        log.note_add("T", row(&[1, 3]));
-        log.note_remove("T", row(&[1, 6]));
-        let old = materialized_old(store.db(), &log, "T");
-        let plan = &plans[0];
-        let mut stats = EvalStats::default();
-        let over = plan
-            .join(
-                0,
-                &[plan.frame()],
-                Read::Scan(read("T", View::Old(&log), &store)),
-                &mut stats,
-            )
-            .unwrap();
-        let want = plan
-            .join(
-                0,
-                &[plan.frame()],
-                Read::Scan(Overlay::plain(&old)),
-                &mut stats,
-            )
-            .unwrap();
-        assert_eq!(sorted_slots(&over), sorted_slots(&want));
-        assert_eq!(
-            sorted_slots(&over).len(),
-            2,
-            "z ∈ {{1, 6}}: (1,3) hidden, (1,6) shown"
-        );
-    }
-
     #[test]
     fn ground_literals_read_old_views_by_membership() {
         // T(x,z) ← E(x,y), T(y,z) seeded with the head T(0,2): T(1,2) is
@@ -440,7 +320,7 @@ mod tests {
         state.set("E", Instance::from_values([edge(0, 1)]));
         state.set("T", Instance::from_values([edge(0, 1), edge(0, 2)]));
         let mut log = DeltaLog::default();
-        let plan = DlPlan::compile(&tc_rec_rule());
+        let plan = Plan::datalog(&tc_rec_rule());
         let state = Store::new(state, std::slice::from_ref(&plan));
         let head = edge(0, 2);
         let fire = |view: View<'_>| {
@@ -481,7 +361,7 @@ mod tests {
         let mut stats = EvalStats::default();
         let delta: BTreeSet<Value> = [edge(1, 2)].into();
         // restrict position 1 (the T literal) to the single delta row
-        let plan = DlPlan::compile(&tc_rec_rule());
+        let plan = Plan::datalog(&tc_rec_rule());
         let state = Store::new(state, std::slice::from_ref(&plan));
         let heads = delta_heads(
             &plan,

@@ -30,19 +30,15 @@ fn next_version() -> u64 {
 ///
 /// Besides its members, an instance carries a *mutation version*
 /// ([`Instance::version`]): an opaque stamp renewed (from a process-global
-/// counter) by every mutating operation. Caches keyed on an instance's
-/// contents — notably [`crate::IndexSet`] — remember the stamp they were
-/// built against and rebuild on any mismatch. Unlike the length stamp it
-/// replaced, the version cannot collide across a `remove` + `insert` pair
-/// that leaves the cardinality unchanged. The version is identity
-/// metadata, not content: equality, ordering, and hashing ignore it.
+/// counter) by every mutating operation. Its id sidecar remembers the
+/// stamp it was built against and is dropped on any mismatch; the version
+/// cannot collide across a `remove` + `insert` pair that leaves the
+/// cardinality unchanged. The version is identity metadata, not content:
+/// equality, ordering, and hashing ignore it.
 // The derived `Default` gives pristine empty instances the shared
-// version 0: the fixpoint engines materialize a fresh default for every
-// read of an absent relation, and those reads must agree on a stamp for
-// index caches to work. This is sound because version 0 is *only*
-// reachable empty — every constructor with contents and every
-// successful mutation takes a fresh nonzero stamp — so any cache
-// stamped 0 describes the empty relation correctly.
+// version 0, which is sound because version 0 is *only* reachable empty:
+// every constructor with contents and every successful mutation takes a
+// fresh nonzero stamp.
 #[derive(Default)]
 pub struct Instance {
     values: BTreeSet<Value>,

@@ -530,17 +530,6 @@ impl Pool {
         matches!(rec.node, Node::Tuple(_)).then_some(TupleItems(rec))
     }
 
-    /// Intern the tuple `[args...]` without materializing a `Value::Tuple`
-    /// — the probe path negative literals use to test membership of a
-    /// bound row.
-    pub fn intern_tuple_slice<'a, I>(&self, args: I) -> ObjRef
-    where
-        I: IntoIterator<Item = &'a Value>,
-    {
-        let children: Vec<ObjRef> = args.into_iter().map(|v| self.intern(v)).collect();
-        self.tuple_of(&children)
-    }
-
     /// Reconstruct the tree-form value an id names.
     pub fn resolve(&self, r: ObjRef) -> Value {
         let rec = self.rec(r);

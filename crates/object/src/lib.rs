@@ -22,7 +22,7 @@
 //!   `{[U,U,U,U]}` relations with invented surrogate identifiers
 //!   ([`flatten`]) — the representation used in the proof of Theorem 6.3;
 //! * the evaluation substrate shared by the deductive engines:
-//!   first-column hash indexes over instances ([`index`]) and work
+//!   column indexes over instances by pool id ([`index`]) and work
 //!   counters ([`stats`]).
 //!
 //! The crate is deliberately free of interior mutability and global state
@@ -47,7 +47,7 @@ pub mod value;
 pub use atom::Atom;
 pub use database::{Database, Instance, RowRef, Schema};
 pub use error::{ObjectError, Result};
-pub use index::{ColumnIndex, IndexSet};
+pub use index::IdIndex;
 pub use intern::{InternStats, ObjRef, Pool};
 pub use rtype::{RType, Type};
 pub use stats::EvalStats;
