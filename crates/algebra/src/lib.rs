@@ -25,7 +25,7 @@
 //! instances *ignore* members that do not have the right shape — e.g.
 //! projecting column 3 of an instance containing a bare atom simply drops
 //! the atom. Evaluation is fuel-bounded: a `while` loop that exceeds its
-//! fuel reports [`EvalError::FuelExhausted`], the finite observation of the
+//! fuel reports [`EvalError::Exhausted`], the finite observation of the
 //! paper's non-terminating-loop-maps-to-`?` convention.
 
 pub mod derived;

@@ -6,7 +6,7 @@
 //! its positive literals' cardinalities many bindings (literals that
 //! introduce no new variables filter, contributing a factor of 1), so
 //! `hi(P) = seed(P) + Σ_rules Π_literals` iterated to fixpoint per
-//! component with widening to ∞ after [`WIDEN_AFTER`] rounds.
+//! component with widening to ∞ after `WIDEN_AFTER` rounds.
 //!
 //! The payoff is the zero: a factor of 0 — an empty source — proves a
 //! rule can never fire, and a defined symbol whose every rule is dead

@@ -7,7 +7,7 @@
 //! transfer is through invention: a set literal or function application
 //! in a head builds a value one level deeper than its members, so a
 //! recursive rule like the Theorem 5.1 chain `{u} ∈ F(a) ← u ∈ F(a)`
-//! climbs the lattice forever. After [`WIDEN_AFTER`] plain iterations a
+//! climbs the lattice forever. After `WIDEN_AFTER` plain iterations a
 //! component is widened: every in-component height source is treated as
 //! [`Height::Unbounded`], so a variable's bound falls back to the
 //! tightest *out-of-component* constraint (an EDB guard keeps the chain

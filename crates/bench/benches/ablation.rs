@@ -456,8 +456,7 @@ fn bench_optimizer_on_compiled_program(c: &mut Criterion) {
         "R",
         Instance::from_rows([[atom(1), atom(2)], [atom(3), atom(4)]]),
     );
-    let orders: Vec<Vec<Value>> = vec![db.get("R").iter().cloned().collect()];
-    let input = prepare_gtm_input(&db, &schema, &orders).unwrap();
+    let input = prepare_gtm_input(&db, &schema, None).unwrap();
     let cfg = EvalConfig {
         fuel: 100_000_000,
         max_instance_len: 1_000_000,

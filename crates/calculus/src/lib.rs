@@ -4,7 +4,7 @@
 //! `u ∈ v`, and `P(u)` with the sentential connectives and *typed*
 //! quantifiers `∃x/T φ`, `∀x/T φ`; a query is `{x/T | φ}`.
 //!
-//! * Quantifiers annotated with strict [`Type`]s give **tsCALC**; under the
+//! * Quantifiers annotated with strict [`Type`](uset_object::Type)s give **tsCALC**; under the
 //!   *limited interpretation* (quantifiers range over the constructive
 //!   domain `cons_T(adom(d, Q))`) it is E-equivalent (Theorem 2.2).
 //! * Allowing rtypes — in particular `Obj` — gives **CALC**, whose

@@ -23,7 +23,7 @@
 
 //! **Structural sharing**: an encoder deduplicates repeated subtrees —
 //! the first occurrence of a large node (structural size ≥
-//! [`SHARE_MIN_SIZE`]) is written in full and assigned the next
+//! `SHARE_MIN_SIZE`) is written in full and assigned the next
 //! *post-order sequence number*; later occurrences write tag 3 + that
 //! number. The numbering depends only on structural content and encode
 //! order (pool ids are **never** written), so the bytes stay
@@ -135,7 +135,7 @@ impl Enc {
     }
 
     /// A [`Value`], as a DAG on the wire: each distinct subtree of size
-    /// ≥ [`SHARE_MIN_SIZE`] is written once; repeats become tag-3
+    /// ≥ `SHARE_MIN_SIZE` is written once; repeats become tag-3
     /// backrefs to its post-order sequence number.
     pub fn put_value(&mut self, v: &Value) {
         let pool = Pool::global();

@@ -28,7 +28,7 @@
 //!   harness-level equivalent of the paper's `PERMS` tagging column.
 
 use uset_algebra::{eval_program, EvalConfig, EvalError, Expr, Operand, Pred, Program, Stmt};
-use uset_gtm::encode::{all_orders, encode_database_ordered};
+use uset_gtm::encode::{all_orders, encode_database, encode_database_ordered};
 use uset_gtm::gtm::{Gtm, SymOut, SymPat, TapeSym};
 use uset_object::cons::singleton_chain;
 use uset_object::{Atom, Database, Instance, Schema, Type, Value};
@@ -296,13 +296,18 @@ pub fn compile_gtm(m: &Gtm) -> Program {
 
 /// Build the prepared input database for the compiled program: the input
 /// listing as a `[chain-index, symbol-atom]` relation plus the initial
-/// chain, successor relation and last element.
+/// chain, successor relation and last element. Each relation is listed in
+/// `orders` when given (checked against `db`), canonically otherwise.
 pub fn prepare_gtm_input(
     db: &Database,
     schema: &Schema,
-    orders: &[Vec<Value>],
+    orders: Option<&[Vec<Value>]>,
 ) -> Option<Database> {
-    let tape = encode_database_ordered(db, schema, orders).ok()?;
+    let tape = match orders {
+        Some(orders) => encode_database_ordered(db, schema, orders),
+        None => encode_database(db, schema),
+    };
+    let tape = tape.ok()?;
     let len = tape.len().max(1);
     let chain = singleton_chain(idx_seed(), len + 1);
     let mut t1 = Instance::empty();
@@ -368,12 +373,7 @@ pub fn run_compiled(
     target: &Type,
     config: &EvalConfig,
 ) -> Result<Option<Instance>, EvalError> {
-    let orders: Vec<Vec<Value>> = schema
-        .entries()
-        .iter()
-        .map(|(name, _)| db.get(name).iter().cloned().collect())
-        .collect();
-    run_compiled_ordered(m, db, schema, &orders, target, config)
+    run_prepared(m, prepare_gtm_input(db, schema, None), target, config)
 }
 
 /// Run the compiled program under a specific enumeration order.
@@ -385,8 +385,20 @@ pub fn run_compiled_ordered(
     target: &Type,
     config: &EvalConfig,
 ) -> Result<Option<Instance>, EvalError> {
+    let input = prepare_gtm_input(db, schema, Some(orders));
+    run_prepared(m, input, target, config)
+}
+
+/// Run the compiled program on a prepared input (`None`: an input that
+/// could not be encoded, the undefined output) and decode.
+fn run_prepared(
+    m: &Gtm,
+    input: Option<Database>,
+    target: &Type,
+    config: &EvalConfig,
+) -> Result<Option<Instance>, EvalError> {
     let prog = compile_gtm(m);
-    let Some(input) = prepare_gtm_input(db, schema, orders) else {
+    let Some(input) = input else {
         return Ok(None);
     };
     match eval_program(&prog, &input, config) {

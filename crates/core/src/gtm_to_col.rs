@@ -22,7 +22,7 @@
 use crate::gtm_to_alg::idx_seed;
 use uset_deductive::col::ast::{ColLiteral, ColProgram, ColRule, ColTerm};
 use uset_deductive::col::eval::{stratified, ColConfig, ColEvalError, ColState};
-use uset_gtm::encode::encode_database_ordered;
+use uset_gtm::encode::{encode_database, encode_database_ordered};
 use uset_gtm::gtm::{Gtm, Move, SymOut, SymPat, TapeSym};
 use uset_object::{Atom, Database, Instance, Schema, Type, Value};
 
@@ -203,14 +203,20 @@ fn tape_sym_atom(s: &TapeSym) -> Atom {
 
 /// EDB facts for the compiled program: the encoded input on tape 1 at time
 /// `t₀`, blank tape 2, initial heads/state, the initial index chain, the
-/// `Exact` symbol table, and the non-halting state list.
+/// `Exact` symbol table, and the non-halting state list. Each relation is
+/// listed in `orders` when given (checked against `db`), canonically
+/// otherwise.
 pub fn prepare_col_input(
     m: &Gtm,
     db: &Database,
     schema: &Schema,
-    orders: &[Vec<Value>],
+    orders: Option<&[Vec<Value>]>,
 ) -> Option<Database> {
-    let tape = encode_database_ordered(db, schema, orders).ok()?;
+    let tape = match orders {
+        Some(orders) => encode_database_ordered(db, schema, orders),
+        None => encode_database(db, schema),
+    };
+    let tape = tape.ok()?;
     let len = tape.len().max(1);
     let chain = uset_object::cons::singleton_chain(idx_seed(), len);
     let t0 = Value::Atom(time_seed());
@@ -325,12 +331,7 @@ pub fn run_col_compiled(
     config: &ColConfig,
 ) -> Result<Option<Instance>, ColEvalError> {
     let prog = compile_gtm_to_col(m);
-    let orders: Vec<Vec<Value>> = schema
-        .entries()
-        .iter()
-        .map(|(name, _)| db.get(name).iter().cloned().collect())
-        .collect();
-    let Some(edb) = prepare_col_input(m, db, schema, &orders) else {
+    let Some(edb) = prepare_col_input(m, db, schema, None) else {
         return Ok(None);
     };
     let state = stratified(&prog, &edb, config)?;
@@ -348,12 +349,7 @@ pub fn run_col_compiled_inflationary(
     config: &ColConfig,
 ) -> Result<Option<Instance>, ColEvalError> {
     let prog = compile_gtm_to_col(m);
-    let orders: Vec<Vec<Value>> = schema
-        .entries()
-        .iter()
-        .map(|(name, _)| db.get(name).iter().cloned().collect())
-        .collect();
-    let Some(edb) = prepare_col_input(m, db, schema, &orders) else {
+    let Some(edb) = prepare_col_input(m, db, schema, None) else {
         return Ok(None);
     };
     let state = uset_deductive::col::eval::inflationary(&prog, &edb, config)?;

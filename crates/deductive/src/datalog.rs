@@ -461,7 +461,7 @@ fn dl_fold(rec: &ckpt::Recovered) -> Option<Resume<Database, BTreeMap<String, In
 
 /// DATALOG¬ under the shared round driver, by pool id: a firing derives
 /// its head's id from its slots' ids, a round's delta is its new row ids
-/// in canonical order, settled probes look ids up in [`IdIndex`]es, and
+/// in canonical order, settled probes look ids up in `IdIndex`es, and
 /// a row's tree is built once, when the commit adds it to its relation.
 /// The naive strategy (the stratified and inflationary reference
 /// semantics) fires every rule from the full state every round; its

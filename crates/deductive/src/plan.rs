@@ -13,8 +13,8 @@
 //! A [`Dialect`] fixes at compile time how a language stores and probes
 //! rows, and each compiled literal carries the outcome as data: whether
 //! its rows are bare objects (COL's unary predicates), the column its
-//! delta is hashed on, and its settled-state [`Probe`]. The executor —
-//! [`Plan::join`] for one literal, [`Plan::fire`] for a firing unit's
+//! delta is hashed on, and how it probes the settled state. The executor
+//! — [`Plan::join`] for one literal, `Plan::fire` for a firing unit's
 //! whole body — reads only that data and never asks which language it
 //! serves. DATALOG¬ (`datalog`), COL (`col::eval`) and the maintenance
 //! engine (`uset-ivm`) all run these plans. The two round engines read
@@ -332,7 +332,7 @@ pub enum Dialect {
 /// once its ground part is bound; each narrowed read counts one
 /// `index_probes`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Probe {
+pub(crate) enum Probe {
     /// Scan the relation.
     Scan,
     /// Look the column's item up in the relation's [`IdIndex`] on it (a
@@ -456,7 +456,7 @@ pub struct Step {
     pub positive: bool,
     /// How a positive predicate literal narrows a read of the settled
     /// state ([`Probe::Scan`] for any other literal).
-    pub probe: Probe,
+    pub(crate) probe: Probe,
     lit: Lit,
 }
 
@@ -542,7 +542,7 @@ enum Head {
 
 /// A derived head fact.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum HeadFact {
+pub(crate) enum HeadFact {
     /// A row of the head predicate.
     Row(Value),
     /// A member of the head's data function: its arguments, the element.
@@ -552,9 +552,10 @@ pub enum HeadFact {
 /// How one step reads its relation.
 #[derive(Clone, Copy)]
 pub enum Read<'x, 'a> {
-    /// The settled state: a positive step narrows the read as its
-    /// [`Probe`] says, through the relation's [`IdIndex`] on the probe
-    /// column when one is at hand.
+    /// The settled state: a positive step narrows the read as compiled —
+    /// through the relation's [`IdIndex`] on its probe column (one
+    /// `index_probes`; a `scan_fallbacks` scan with no index at hand), or
+    /// by one membership test of a ground bare row (one `index_probes`).
     Settled(&'a Instance, Option<&'a IdIndex>),
     /// A plain scan that counts nothing. A positive step whose row is
     /// ground becomes one membership test instead, and one with a column
@@ -573,7 +574,7 @@ pub enum Read<'x, 'a> {
 
 /// The delta a unit reads at its delta position.
 #[derive(Clone, Copy)]
-pub enum DeltaIn<'a> {
+pub(crate) enum DeltaIn<'a> {
     /// Relation rows.
     Rows(&'a Instance),
     /// Relation rows, by pool id.
@@ -584,7 +585,7 @@ pub enum DeltaIn<'a> {
 
 /// The settled state a firing reads: relations by name and the data
 /// functions' graphs.
-pub trait State: Sync {
+pub(crate) trait State: Sync {
     /// The relation `pred`, if present.
     fn rel(&self, pred: &str) -> Option<&Instance>;
 
@@ -601,12 +602,12 @@ impl State for Database {
 }
 
 /// The settled state's indexes, per relation and column.
-pub type Indexes = BTreeMap<String, BTreeMap<usize, IdIndex>>;
+pub(crate) type Indexes = BTreeMap<String, BTreeMap<usize, IdIndex>>;
 
 /// Keep exactly the indexes `keep` names: drop the others, and build each
 /// missing one from `state`. An absent relation gets an (empty) index
 /// too: a probe against an empty relation still counts as a probe.
-pub fn index(state: &impl State, keep: &Probes, indexes: &mut Indexes) {
+pub(crate) fn index(state: &impl State, keep: &Probes, indexes: &mut Indexes) {
     let kept = |pred: &str, col: usize| keep.get(pred).is_some_and(|k| k.contains(&col));
     indexes.retain(|pred, cols| {
         cols.retain(|&col, _| kept(pred, col));
@@ -624,7 +625,7 @@ pub fn index(state: &impl State, keep: &Probes, indexes: &mut Indexes) {
 }
 
 /// Note a row newly committed to relation `pred` in its kept indexes.
-pub fn note_insert(indexes: &mut Indexes, pred: &str, row: ObjRef) {
+pub(crate) fn note_insert(indexes: &mut Indexes, pred: &str, row: ObjRef) {
     if let Some(cols) = indexes.get_mut(pred) {
         cols.values_mut().for_each(|idx| idx.insert(row));
     }
@@ -632,7 +633,7 @@ pub fn note_insert(indexes: &mut Indexes, pred: &str, row: ObjRef) {
 
 /// Classify one stratum's rules: every rule is a snapshot under the
 /// naive strategy; otherwise see [`Plan::class`].
-pub fn classify(rules: &[(usize, &Plan)], naive: bool) -> Vec<RuleClass> {
+pub(crate) fn classify(rules: &[(usize, &Plan)], naive: bool) -> Vec<RuleClass> {
     if naive {
         return vec![RuleClass::Snapshot; rules.len()];
     }
@@ -643,7 +644,7 @@ pub fn classify(rules: &[(usize, &Plan)], naive: bool) -> Vec<RuleClass> {
 /// A rule compiled to slots.
 #[derive(Clone, Debug)]
 pub struct Plan {
-    head_symbol: String,
+    defines: String,
     head: Head,
     /// Body literals, in rule order.
     pub body: Vec<Step>,
@@ -717,9 +718,8 @@ impl Plan {
                         }
                         (Dialect::Col, Some(_)) => Probe::Scan,
                     };
-                    let pred = name.clone();
                     Lit::Pred {
-                        pred,
+                        pred: name.clone(),
                         row,
                         bare,
                         key,
@@ -751,18 +751,17 @@ impl Plan {
                 lit,
             });
         }
-        let (head_symbol, head) = match &rule.head {
-            ColHead::Pred { name, args } => (name, Head::Row(slots.row(args, dialect).0)),
-            ColHead::FuncMember { func, args, elem } => {
-                let args = args.iter().map(|t| slots.term(t)).collect();
-                let elem = slots.term(elem);
-                (func, Head::Member { args, elem })
-            }
+        let head = match &rule.head {
+            ColHead::Pred { args, .. } => Head::Row(slots.row(args, dialect).0),
+            ColHead::FuncMember { args, elem, .. } => Head::Member {
+                args: slots.terms(args),
+                elem: slots.term(elem),
+            },
         };
         let names = slots.0;
         let types = names.iter().map(|n| rule.types.get(n).cloned()).collect();
         Plan {
-            head_symbol: head_symbol.clone(),
+            defines: rule.head_symbol().to_owned(),
             head,
             body,
             names,
@@ -796,7 +795,7 @@ impl Plan {
 
     /// The symbol the rule defines: its head predicate or data function.
     pub fn defines(&self) -> &str {
-        &self.head_symbol
+        &self.defines
     }
 
     /// The empty binding.
@@ -810,7 +809,7 @@ impl Plan {
     /// literal over a run symbol), non-monotone reads exactly the strong
     /// ones (a negated literal over a run symbol, or a run function
     /// evaluated as a value anywhere in the rule).
-    pub fn class(&self, run: &BTreeSet<&str>) -> RuleClass {
+    pub(crate) fn class(&self, run: &BTreeSet<&str>) -> RuleClass {
         let mut values = Vec::new();
         match &self.head {
             Head::Row(row) => row.applies(&mut values),
@@ -842,7 +841,7 @@ impl Plan {
     /// Add to `out` every (relation, column) index a firing probes in the
     /// settled state: each positive step's probe column, except at the
     /// delta position `delta`.
-    pub fn probes(&self, delta: Option<usize>, out: &mut Probes) {
+    pub(crate) fn probes(&self, delta: Option<usize>, out: &mut Probes) {
         for (i, step) in self.body.iter().enumerate() {
             if let (true, Probe::Column(col), Some(pred)) =
                 (step.positive && delta != Some(i), step.probe, step.pred())
@@ -859,7 +858,7 @@ impl Plan {
     /// `stats` only when `count_prefix` is set (one shard of a sharded
     /// delta counts it). Returns the body's bindings, charged to `brake`
     /// — or `None` once the brake stops the round.
-    pub fn fire<'a>(
+    pub(crate) fn fire<'a>(
         &self,
         state: &'a impl State,
         indexes: &'a Indexes,
@@ -1210,17 +1209,17 @@ impl Plan {
             unreachable!("head_id is asked of predicate heads");
         };
         row.id(f, &NO_FUNCS)
-            .map_err(|s| self.unbound(s, &self.head_symbol))
+            .map_err(|s| self.unbound(s, &self.defines))
     }
 
     /// The head fact a body binding derives.
-    pub fn head(&self, f: &Frame<'_>, funcs: &FuncGraphs) -> Result<HeadFact, Unbound> {
+    pub(crate) fn head(&self, f: &Frame<'_>, funcs: &FuncGraphs) -> Result<HeadFact, Unbound> {
         let fact = match &self.head {
             Head::Row(row) => row.eval(f, funcs).map(|r| HeadFact::Row(r.into_owned())),
             Head::Member { args, elem } => eval_all(args, f, funcs)
                 .and_then(|a| Ok(HeadFact::Member(a, elem.eval(f, funcs)?.into_owned()))),
         };
-        fact.map_err(|s| self.unbound(s, &self.head_symbol))
+        fact.map_err(|s| self.unbound(s, &self.defines))
     }
 
     /// The instantiated supporting body facts of one firing — the parents
@@ -1228,7 +1227,11 @@ impl Plan {
     /// memberships are stored facts and appear here; plain memberships in
     /// a bound set value and (in)equalities are constraints on
     /// already-listed facts, so they do not.
-    pub fn parents(&self, f: &Frame<'_>, funcs: &FuncGraphs) -> Result<Vec<String>, Unbound> {
+    pub(crate) fn parents(
+        &self,
+        f: &Frame<'_>,
+        funcs: &FuncGraphs,
+    ) -> Result<Vec<String>, Unbound> {
         let mut out = Vec::new();
         for step in self.body.iter().filter(|s| s.positive) {
             let fact = match &step.lit {

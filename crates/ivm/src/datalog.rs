@@ -18,7 +18,7 @@
 //! Facts move through maintenance as pool ids: firings derive head ids,
 //! the DRed sets and membership tests are keyed by id, and a row's tree
 //! is built once, when it enters or leaves the state. State mutations,
-//! rollback included, keep the session's id index current ([`Store`]).
+//! rollback included, keep the session's id index current (`fire::Store`).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -33,7 +33,7 @@ use uset_opt::{maintenance_plan, MaintPlan, MaintStratum, StratumPlan};
 use uset_par::par_map;
 
 use crate::delta::{DeltaBatch, DeltaLog, NormalBatch};
-use crate::fire::{delta_heads, holds_id, pred, Delta, Store, View};
+use crate::fire::{delta_heads, pred, Delta, Store, View};
 use crate::{ApplyReport, IvmError, IvmMode, Semantics};
 
 /// A long-lived materialized DATALOG¬ fixpoint that absorbs EDB delta
@@ -692,7 +692,7 @@ fn maintain_counting(
             } else {
                 pc.insert(row.clone(), new);
             }
-            let seeded = holds_id(seeded_rel, id);
+            let seeded = seeded_rel.is_some_and(|r| r.contains_id(id));
             let was = old > 0 || seeded;
             let now = new > 0 || seeded;
             if was && !now {
@@ -743,7 +743,7 @@ fn consider_delete(
         return;
     }
     // an EDB-seeded fact is an axiom, never a deletion candidate
-    if holds_id(edb.get_ref(pred), id) {
+    if edb.get_ref(pred).is_some_and(|r| r.contains_id(id)) {
         return;
     }
     if deleted.get(pred).is_some_and(|d| d.contains_key(&id)) {

@@ -31,7 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use uset_deductive::plan::{self, DeltaJoin, Frame, Overlay, Plan, Read, Step, NO_FUNCS};
 use uset_deductive::DlError;
-use uset_object::{Database, EvalStats, IdIndex, Instance, ObjRef, Pool, Value};
+use uset_object::{Database, EvalStats, IdIndex, Instance, ObjRef, Value};
 
 use crate::delta::DeltaLog;
 
@@ -112,17 +112,8 @@ impl Store {
 
     /// Whether `pred` holds the row with pool id `id`.
     pub fn contains(&self, pred: &str, id: ObjRef) -> bool {
-        holds_id(self.db.get_ref(pred), id)
+        self.db.get_ref(pred).is_some_and(|r| r.contains_id(id))
     }
-}
-
-/// Membership by pool id: the relation's id sidecar answers, or the row
-/// is rebuilt from the pool when no sidecar can.
-pub(crate) fn holds_id(rel: Option<&Instance>, id: ObjRef) -> bool {
-    rel.is_some_and(|r| {
-        r.contains_ref(id)
-            .unwrap_or_else(|| r.contains(&Pool::global().resolve(id)))
-    })
 }
 
 /// The predicate a DATALOG¬ literal reads.
@@ -226,7 +217,7 @@ pub(crate) fn delta_heads<'a>(
 mod tests {
     use super::*;
     use uset_deductive::{DlAtom, DlRule, DlTerm};
-    use uset_object::atom;
+    use uset_object::{atom, Pool};
 
     fn edge(a: u64, b: u64) -> Value {
         Value::Tuple(vec![atom(a), atom(b)])

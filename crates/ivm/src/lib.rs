@@ -14,7 +14,7 @@
 //! [`uset_opt::maintenance_plan`]):
 //!
 //! * **Counting** for non-recursive strata: each derived fact carries
-//!   its exact number of derivations; delta rules (see [`fire`] in the
+//!   its exact number of derivations; delta rules (see `fire` in the
 //!   crate source) adjust the counts with signed multiplicities and a
 //!   fact dies when its count reaches zero.
 //! * **Delete-and-rederive (DRed)** for recursive strata: over-delete

@@ -12,7 +12,7 @@
 //!
 //! Otherwise the query falls back to evaluating the goal-reachable
 //! fragment (still pruned and optimized via
-//! [`optimize_datalog`](crate::optimize_datalog)) and filtering.
+//! [`optimize_datalog`]) and filtering.
 //!
 //! Each predicate gets **one** adornment: the intersection of the bound
 //! position sets over all its call sites under a left-to-right sideways
