@@ -9,11 +9,10 @@
 //! * **naive** — every rule fires against the pre-round state each round;
 //!   the reference implementation.
 //! * **semi-naive** (the default) — each rule is classified once per
-//!   engine run: a rule reading no symbol defined in the
-//!   run fires only in the first round; one whose same-run reads are all
-//!   monotone fires once per such literal, restricted to the previous
-//!   round's delta; one with a non-monotone same-run read re-fires in
-//!   full.
+//!   engine run: a rule reading no symbol defined in the run fires only
+//!   in the first round; one whose same-run reads are all monotone fires
+//!   once per such literal, restricted to the previous round's delta; one
+//!   with a non-monotone same-run read re-fires in full.
 //!
 //! This module supplies COL's state, delta sharding, fact insertion and
 //! checkpoint codec. Settled probes go through the
