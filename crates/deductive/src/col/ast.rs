@@ -157,6 +157,15 @@ impl ColLiteral {
             positive: false,
         }
     }
+
+    /// Polarity: false = negated.
+    pub fn positive(&self) -> bool {
+        match self {
+            ColLiteral::Pred { positive, .. }
+            | ColLiteral::Member { positive, .. }
+            | ColLiteral::Eq { positive, .. } => *positive,
+        }
+    }
 }
 
 /// A rule head: either a predicate fact or a data-function membership.

@@ -14,6 +14,9 @@
 //!   [`col::eval::inflationary`]; both are fuel-bounded because untyped
 //!   COL programs can legitimately diverge (the paper maps that to the
 //!   undefined output `?`).
+//! * [`plan`] — the one rule compiler and join executor: DATALOG¬ rules
+//!   compile as COL rules without data functions, and both engines and
+//!   the maintenance engine (`uset-ivm`) fire the same plans.
 //! * [`chain`] — the Theorem 5.1 device: COL rules that manufacture an
 //!   unbounded ordered chain of distinct objects `a; {a}; {{a}}; …` inside
 //!   a data function `F(a)` without inventing atoms.

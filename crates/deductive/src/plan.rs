@@ -654,15 +654,6 @@ pub struct Plan {
     types: Vec<Option<RType>>,
 }
 
-/// A literal's polarity.
-fn lit_positive(lit: &ColLiteral) -> bool {
-    match lit {
-        ColLiteral::Pred { positive, .. }
-        | ColLiteral::Member { positive, .. }
-        | ColLiteral::Eq { positive, .. } => *positive,
-    }
-}
-
 /// Compiles terms, numbering variables in order of first occurrence.
 struct Slots(Vec<String>);
 
@@ -702,7 +693,7 @@ impl Plan {
         let mut bound: Vec<bool> = Vec::new();
         let mut body = Vec::with_capacity(rule.body.len());
         for lit in &rule.body {
-            let (positive, mut probe) = (lit_positive(lit), Probe::Scan);
+            let (positive, mut probe) = (lit.positive(), Probe::Scan);
             let lit = match lit {
                 ColLiteral::Pred { name, args, .. } => {
                     let (row, bare) = slots.row(args, dialect);
